@@ -1,9 +1,10 @@
 /**
  * dnastored request throughput: an in-process Server hammered by N
  * client threads over loopback TCP, reporting requests/second for
- * the protocol hot paths. Reads (ping, get, list, health) ride the
- * lock-free snapshot plane, so they should scale with client count;
- * puts serialize through the tenant writer lock.
+ * the protocol hot paths. Ping touches no tenant and get/health
+ * ride the store's lock-free published snapshot, so they should
+ * scale with client count; list and put serialize through the
+ * tenant writer lock.
  *
  *   bench_daemon_throughput [clients] [seconds-per-phase]
  *

@@ -1,5 +1,6 @@
 #include "api/store.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <cctype>
 #include <cerrno>
@@ -129,6 +130,13 @@ mapScrubReport(const PoolScrubReport &report)
     return out;
 }
 
+Status
+noObjectNamed(const std::string &name)
+{
+    return Status::notFound(
+        formatMessage("no object named '%s'", name.c_str()));
+}
+
 std::string
 unitHeader(const StorageConfig &cfg, LayoutScheme scheme)
 {
@@ -175,25 +183,18 @@ struct Store::Rep
     StorageConfig resolvedCfg;
 
     /**
-     * Memoized configured-coverage retrieval: deterministic for a
-     * fixed channel while the unit is clean, so N get() calls cost
-     * one decode pass, not N. Invalidated by put() and rebuilds.
+     * Mutation counter, bumped by put(), every rebuild, age(), and
+     * every repair that lands (sync scrub() and — on their own
+     * thread — in-flight ScrubJobs). A snapshot serves only while
+     * the generation it was decoded at still matches, so a stale one
+     * can never serve pre-mutation bytes. Shared so a ScrubJob
+     * outliving a Store move still bumps it.
      */
-    std::shared_ptr<const Retrieval> lastRetrieval;
-
-    /**
-     * Pool mutation counter, bumped by every repair that lands (sync
-     * age()/scrub() and — on their own thread — in-flight ScrubJobs).
-     * retrieveCached() serves the memo only when the generation it
-     * was decoded at still matches, so a stale memo can never serve
-     * pre-repair bytes. Shared so a ScrubJob outliving a Store move
-     * still invalidates through it.
-     */
-    std::shared_ptr<std::atomic<uint64_t>> poolGeneration =
+    std::shared_ptr<std::atomic<uint64_t>> generation =
         std::make_shared<std::atomic<uint64_t>>(0);
 
-    /** Value of *poolGeneration when lastRetrieval was decoded. */
-    uint64_t memoGeneration = 0;
+    /** Last published Snapshot (std::atomic_load/store only). */
+    std::shared_ptr<const Snapshot> snapshot;
 
     /** openFile(OpenMode::ReadOnly): put() is FailedPrecondition. */
     bool readOnly = false;
@@ -243,10 +244,38 @@ struct Store::Rep
         return resolveConfigFor(bundle.serializedBits());
     }
 
+    /**
+     * The successor of @p current at @p gen: a copy when @p current
+     * already holds parts of that generation, else a bare snapshot
+     * of the stored names.
+     */
+    Snapshot
+    successor(const std::shared_ptr<const Snapshot> &current,
+              uint64_t gen) const
+    {
+        if (current && current->generation == gen)
+            return *current;
+        Snapshot next;
+        next.generation = gen;
+        next.names.reserve(bundle.fileCount());
+        for (const NamedFile &file : bundle.files())
+            next.names.push_back(file.name);
+        return next;
+    }
+
+    std::shared_ptr<const Snapshot>
+    publish(Snapshot next)
+    {
+        auto shared = std::make_shared<const Snapshot>(std::move(next));
+        std::atomic_store(&snapshot, shared);
+        return shared;
+    }
+
     /** Encode (and pool) the unit; @p with_pools = store() vs prepare(). */
     Status
     build(bool with_pools)
     {
+        generation->fetch_add(1);
         Result<StorageConfig> cfg = resolveConfig();
         if (!cfg.ok())
             return cfg.status();
@@ -266,14 +295,12 @@ struct Store::Rep
             prepared = false;
             synthesized = false;
             dirty = true;
-            lastRetrieval.reset();
             return Status::internal(e.what());
         }
         resolvedCfg = *cfg;
         prepared = true;
         synthesized = with_pools;
         dirty = false;
-        lastRetrieval.reset();
         return Status();
     }
 
@@ -462,7 +489,7 @@ Store::put(const std::string &name, std::vector<uint8_t> data)
 
     rep_->bundle.add(name, std::move(data));
     rep_->dirty = true;
-    rep_->lastRetrieval.reset();
+    rep_->generation->fetch_add(1);
     return Status();
 }
 
@@ -500,8 +527,18 @@ Store::synthesize()
     return rep_->build(/*with_pools=*/true);
 }
 
-Result<std::shared_ptr<const Retrieval>>
-Store::retrieveCached()
+std::shared_ptr<const Snapshot>
+Store::published() const
+{
+    std::shared_ptr<const Snapshot> snap =
+        std::atomic_load(&rep_->snapshot);
+    if (snap && snap->generation == rep_->generation->load())
+        return snap;
+    return nullptr;
+}
+
+Result<std::shared_ptr<const Snapshot>>
+Store::decodedSnapshot()
 {
     // The pool-backed retrieval cannot combine gamma coverage with
     // the real clusterer (retrieveClustered reads fixed pool
@@ -512,17 +549,12 @@ Store::retrieveCached()
     Status status = rep_->ensureSynthesized();
     if (!status.ok())
         return status;
-    // Clean store + fixed channel = deterministic result; serve the
-    // memoized pass (ensureSynthesized left it in place) — unless a
-    // repair landed since it was decoded (age(), scrub(), or an
-    // async ScrubJob bump the pool generation).
-    if (rep_->lastRetrieval &&
-        rep_->memoGeneration == rep_->poolGeneration->load())
-        return rep_->lastRetrieval;
-    rep_->lastRetrieval.reset();
+    std::shared_ptr<const Snapshot> current = published();
+    if (current && current->retrieval)
+        return current;
     // Sampled BEFORE the decode: a repair landing mid-pass leaves the
-    // memo stamped stale, so the next call decodes again.
-    const uint64_t generation = rep_->poolGeneration->load();
+    // snapshot stamped stale, so the next call decodes again.
+    const uint64_t generation = rep_->generation->load();
     const ChannelOptions &chan = rep_->channel;
     try {
         Retrieval out;
@@ -543,10 +575,9 @@ Store::retrieveCached()
             out = mapRetrieval(
                 rep_->sim->retrieve(chan.fixedCoverage()));
         }
-        rep_->memoGeneration = generation;
-        rep_->lastRetrieval =
-            std::make_shared<const Retrieval>(std::move(out));
-        return rep_->lastRetrieval;
+        Snapshot next = rep_->successor(current, generation);
+        next.retrieval = std::make_shared<const Retrieval>(std::move(out));
+        return rep_->publish(std::move(next));
     } catch (const std::exception &e) {
         return Status::internal(e.what());
     }
@@ -555,11 +586,10 @@ Store::retrieveCached()
 Result<Retrieval>
 Store::retrieveAll()
 {
-    Result<std::shared_ptr<const Retrieval>> cached =
-        retrieveCached();
-    if (!cached.ok())
-        return cached.status();
-    return **cached;
+    Result<std::shared_ptr<const Snapshot>> snap = decodedSnapshot();
+    if (!snap.ok())
+        return snap.status();
+    return *(*snap)->retrieval;
 }
 
 Result<Retrieval>
@@ -585,26 +615,31 @@ Result<std::vector<uint8_t>>
 Store::get(const std::string &name)
 {
     if (!rep_->bundle.find(name))
-        return Status::notFound(
-            formatMessage("no object named '%s'", name.c_str()));
-    // Read through the shared memo: repeated gets cost one decode
+        return noObjectNamed(name);
+    // Read through the shared snapshot: repeated gets cost one decode
     // pass and copy only the requested object's bytes.
-    Result<std::shared_ptr<const Retrieval>> cached =
-        retrieveCached();
-    if (!cached.ok())
-        return cached.status();
-    const Retrieval &retrieval = **cached;
-    if (!retrieval.decoded)
+    Result<std::shared_ptr<const Snapshot>> snap = decodedSnapshot();
+    if (!snap.ok())
+        return snap.status();
+    return (*snap)->get(name);
+}
+
+Result<std::vector<uint8_t>>
+Snapshot::get(const std::string &name) const
+{
+    if (std::find(names.begin(), names.end(), name) == names.end())
+        return noObjectNamed(name);
+    if (!retrieval->decoded)
         return Status::dataLoss(formatMessage(
             "the channel defeated the decoder (%zu codewords failed, "
             "%zu columns erased); the directory is unrecoverable",
-            retrieval.failedCodewords, retrieval.erasedColumns));
-    if (!retrieval.exact)
+            retrieval->failedCodewords, retrieval->erasedColumns));
+    if (!retrieval->exact)
         return Status::dataLoss(formatMessage(
             "the unit decoded with errors (%zu codewords failed); "
             "retrieveAll() exposes the partial recovery",
-            retrieval.failedCodewords));
-    const NamedFile *file = retrieval.objects.find(name);
+            retrieval->failedCodewords));
+    const NamedFile *file = retrieval->objects.find(name);
     if (file == nullptr)
         return Status::dataLoss(formatMessage(
             "object '%s' missing from the recovered directory",
@@ -644,8 +679,18 @@ Store::health()
     Status status = rep_->ensureSynthesized();
     if (!status.ok())
         return status;
+    std::shared_ptr<const Snapshot> current = published();
+    if (current && current->health)
+        return current->health->report;
+    const uint64_t generation = rep_->generation->load();
     try {
-        return mapHealth(rep_->sim->probeHealth());
+        auto memo = std::make_shared<HealthMemo>();
+        memo->report = mapHealth(rep_->sim->probeHealth());
+        memo->json = memo->report.toJson();
+        Snapshot next = rep_->successor(current, generation);
+        next.health = memo;
+        rep_->publish(std::move(next));
+        return memo->report;
     } catch (const std::exception &e) {
         return Status::internal(e.what());
     }
@@ -666,8 +711,7 @@ Store::age(size_t epochs)
         return status;
     try {
         size_t lost = rep_->sim->age(epochs);
-        rep_->poolGeneration->fetch_add(1);
-        rep_->lastRetrieval.reset();
+        rep_->generation->fetch_add(1);
         return lost;
     } catch (const std::exception &e) {
         return Status::internal(e.what());
@@ -689,10 +733,8 @@ Store::scrub(const ScrubOptions &options)
     try {
         PoolScrubReport report =
             rep_->sim->scrub(mapScrubOptions(options));
-        if (report.repaired > 0) {
-            rep_->poolGeneration->fetch_add(1);
-            rep_->lastRetrieval.reset();
-        }
+        if (report.repaired > 0)
+            rep_->generation->fetch_add(1);
         if (!report.repairable && report.lowMargin > 0)
             return Status::unavailable(formatMessage(
                 "%zu clusters need repair but %zu codewords failed at "
@@ -992,10 +1034,10 @@ Store::submit(const ScrubJob &job)
     // Unlike the other jobs this one MUTATES the shared simulator
     // (that is its purpose: the repairs must land in the store's
     // pool). The generation counter travels as a shared_ptr so the
-    // memo is invalidated even if the Store moves while the job runs.
+    // snapshot is invalidated even if the Store moves while the job
+    // runs.
     std::shared_ptr<StorageSimulator> sim = rep_->sim;
-    std::shared_ptr<std::atomic<uint64_t>> generation =
-        rep_->poolGeneration;
+    std::shared_ptr<std::atomic<uint64_t>> generation = rep_->generation;
     const ScrubPolicy policy = mapScrubOptions(job.options);
     return Future<Result<ScrubReport>>(std::async(
         std::launch::async,

@@ -35,7 +35,10 @@
  * safely alongside later put()/retrieve calls on the owning thread —
  * a rebuild just swaps in a new simulator while the job finishes on
  * the old one. The Store's own methods are not internally
- * synchronized: call them from one thread at a time.
+ * synchronized: call them from one thread at a time. The one
+ * exception is published(), the lock-free reader: it may run on any
+ * thread concurrently with any other member (moving or destroying
+ * the Store aside), and the Snapshot it returns is immutable.
  */
 
 #ifndef DNASTORE_API_STORE_HH
@@ -100,6 +103,43 @@ struct Retrieval
     size_t clustersFound = 0;
     double precision = 0.0;
     double recall = 0.0;
+};
+
+/** A memoized health probe: the report and its toJson() text. */
+struct HealthMemo
+{
+    HealthReport report;
+    std::string json;
+};
+
+/**
+ * The store's decoded state at one generation. The Store keeps one
+ * generation counter that every mutation bumps (put, synthesize or
+ * any rebuild, age, a scrub or ScrubJob that repairs) and publishes
+ * at most one Snapshot, stamped with the generation it was decoded
+ * at. A Snapshot is immutable once published; a later decode or
+ * probe at the same generation publishes a successor that shares
+ * the earlier parts.
+ */
+struct Snapshot
+{
+    uint64_t generation = 0;
+
+    /** Stored object names at this generation (NotFound lookup). */
+    std::vector<std::string> names;
+
+    /** The configured-coverage retrieval; null until one ran. */
+    std::shared_ptr<const Retrieval> retrieval;
+
+    /** The health probe; null until one ran. */
+    std::shared_ptr<const HealthMemo> health;
+
+    /**
+     * Store::get's answer from this state: NotFound for a name not
+     * stored, DataLoss when the decode failed or was inexact, else
+     * the object's bytes. A stored name needs retrieval set.
+     */
+    Result<std::vector<uint8_t>> get(const std::string &name) const;
 };
 
 /** Synthesizable unit text: the EncodeJob artifact. */
@@ -198,7 +238,7 @@ struct TrialJob
  * Scrub the store's pool asynchronously: the probe decode, policy
  * selection, and any rewrites run on the job's dispatcher thread
  * against the store's own pool (this job mutates the store — the
- * retrieveAll() memo is invalidated when repairs land). Do not run
+ * store's generation is bumped when repairs land). Do not run
  * pool-backed retrievals on the owning thread while a ScrubJob is in
  * flight; queue them after Future::get().
  */
@@ -373,18 +413,33 @@ class Store
     Status synthesize();
 
     /**
-     * Retrieve one object through the noisy channel. NotFound if no
-     * such object, DataLoss when the channel defeated the decoder.
+     * Retrieve one object through the noisy channel: Snapshot::get
+     * over the current generation's retrieval (decoded first if
+     * needed). NotFound if no such object — answered without a
+     * decode — and DataLoss when the decode failed or was inexact.
      */
     Result<std::vector<uint8_t>> get(const std::string &name);
 
     /**
      * Retrieve everything at the configured coverage model. The
-     * result is deterministic while the store is clean, so it is
-     * memoized: repeated calls (and the get()s built on them) cost
-     * one decode pass until the next put() or synthesize().
+     * result is deterministic while the generation holds, so it is
+     * published in the generation's Snapshot: repeated calls (and
+     * the get()s built on them) cost one decode pass until the next
+     * mutation. A failed decode (an error Status, as opposed to a
+     * decoded-with-loss Retrieval) is not published; the next call
+     * retries.
      */
     Result<Retrieval> retrieveAll();
+
+    /**
+     * The Snapshot published for the current generation, or null
+     * when nothing was decoded or probed since the last mutation.
+     * Lock-free and decode-free; the one member safe to call
+     * concurrently with the others (see the file comment). A caller
+     * that needs a part the snapshot lacks (retrieval, health) falls
+     * back to get()/health() under its own serialization.
+     */
+    std::shared_ptr<const Snapshot> published() const;
 
     /**
      * Retrieve everything at an explicit fixed coverage (pool
@@ -406,7 +461,9 @@ class Store
      * RS correction split and remaining margin. Read-only (works on
      * read-only stores); synthesizes first if needed. The report —
      * and its toJson() rendering — is byte-identical at any thread
-     * count and SIMD tier.
+     * count and SIMD tier. Memoized per generation: the report and
+     * its toJson() text are published as the Snapshot's health, so
+     * repeated calls cost one probe until the next mutation.
      */
     Result<HealthReport> health();
 
@@ -415,7 +472,7 @@ class Store
      * per epoch, whole reads are lost and surviving bases substitute.
      * Deterministic (epoch seeds derive from the unit seed and a
      * monotone epoch counter: age(1);age(1) decays exactly like
-     * age(2)). Invalidates the retrieveAll() memo.
+     * age(2)). Bumps the generation, retiring the published snapshot.
      *
      * @return Reads lost across the epochs.
      *
@@ -429,7 +486,7 @@ class Store
      * @p options call low-margin, and — when every codeword decoded,
      * so the recovered data is trustworthy — rewrite each selected
      * cluster with fresh full-depth reads of its repaired strand.
-     * Repairs invalidate the retrieveAll() memo.
+     * Repairs bump the generation, retiring the published snapshot.
      *
      * Errors: FailedPrecondition on a read-only store; Unavailable
      * when clusters need repair but some codeword failed at the
@@ -469,11 +526,12 @@ class Store
     explicit Store(std::unique_ptr<Rep> rep);
 
     /**
-     * The memoized configured-coverage pass, shared: get() reads
+     * The current generation's Snapshot with its retrieval set,
+     * decoding and publishing it first if needed: get() reads
      * through it without copying the recovered objects; the
      * value-returning retrieveAll() copies once for its caller.
      */
-    Result<std::shared_ptr<const Retrieval>> retrieveCached();
+    Result<std::shared_ptr<const Snapshot>> decodedSnapshot();
 
     std::unique_ptr<Rep> rep_;
 };

@@ -8,6 +8,7 @@
 
 #include <cerrno>
 #include <cstring>
+#include <system_error>
 #include <utility>
 
 #include "api/wire.hh"
@@ -18,6 +19,9 @@ namespace dnastore {
 namespace daemon {
 
 namespace {
+
+/** How long the acceptor waits before re-checking for a drain. */
+constexpr int kAcceptPollMs = 500;
 
 /** write() the whole buffer, retrying short writes and EINTR. */
 bool
@@ -148,9 +152,23 @@ Server::start()
 }
 
 void
+Server::reapFinishedConnections()
+{
+    for (auto it = connections_.begin(); it != connections_.end();) {
+        if ((*it)->done.load()) {
+            (*it)->thread.join();
+            it = connections_.erase(it);
+        } else {
+            ++it;
+        }
+    }
+}
+
+void
 Server::acceptLoop()
 {
     while (!stopping_.load()) {
+        reapFinishedConnections();
         struct pollfd pfds[2];
         pfds[0].fd = listenFd_;
         pfds[0].events = POLLIN;
@@ -158,7 +176,7 @@ Server::acceptLoop()
         pfds[1].fd = wakePipe_[0];
         pfds[1].events = POLLIN;
         pfds[1].revents = 0;
-        int r = ::poll(pfds, 2, 500);
+        int r = ::poll(pfds, 2, kAcceptPollMs);
         if (r < 0) {
             if (errno == EINTR)
                 continue;
@@ -169,13 +187,27 @@ Server::acceptLoop()
         if (r == 0 || !(pfds[0].revents & POLLIN))
             continue;
         int fd = ::accept(listenFd_, nullptr, nullptr);
-        if (fd < 0)
+        if (fd < 0) {
+            // Out of descriptors: the listener stays readable, so
+            // retrying at once would spin. Wait one poll interval
+            // (or for a drain) while connections close.
+            if (errno == EMFILE || errno == ENFILE)
+                pollIn(wakePipe_[0], kAcceptPollMs);
             continue;
+        }
         auto conn = std::make_unique<Connection>();
-        conn->fd = fd;
-        conn->thread =
-            std::thread([this, fd] { handleConnection(fd); });
-        std::lock_guard<std::mutex> lock(connectionsMu_);
+        Connection *raw = conn.get();
+        try {
+            conn->thread = std::thread([this, fd, raw] {
+                handleConnection(fd);
+                raw->done.store(true);
+            });
+        } catch (const std::system_error &) {
+            // No thread to own the connection (thread limit): refuse
+            // it instead of terminating the daemon.
+            ::close(fd);
+            continue;
+        }
         connections_.push_back(std::move(conn));
     }
 }
@@ -254,6 +286,7 @@ Server::handleConnection(int fd)
         // extractFrame decides which next iteration.
     }
     ::shutdown(fd, SHUT_RDWR);
+    ::close(fd);
 }
 
 Response
@@ -305,9 +338,7 @@ Server::dispatch(const Request &request)
         api::Result<Tenant *> tenant = tenants_.find(request.tenant);
         if (!tenant.ok())
             return fromStatus(tenant.status());
-        bool exact = false;
-        api::Result<std::string> json =
-            (*tenant)->healthJson(&exact);
+        api::Result<std::string> json = (*tenant)->healthJson();
         if (!json.ok())
             return fromStatus(json.status());
         response.body = textBody(*json);
@@ -375,18 +406,10 @@ Server::drain()
         listenFd_ = -1;
     }
     // Connection threads notice stopping_ once their current request
-    // (and any half-received frame) completes.
-    std::vector<std::unique_ptr<Connection>> connections;
-    {
-        std::lock_guard<std::mutex> lock(connectionsMu_);
-        connections.swap(connections_);
-    }
-    for (auto &conn : connections) {
-        if (conn->thread.joinable())
-            conn->thread.join();
-        if (conn->fd >= 0)
-            ::close(conn->fd);
-    }
+    // (and any half-received frame) completes, then close their fds.
+    for (auto &conn : connections_)
+        conn->thread.join();
+    connections_.clear();
     for (int i = 0; i < 2; ++i) {
         if (wakePipe_[i] >= 0) {
             ::close(wakePipe_[i]);

@@ -3,14 +3,16 @@
  * `dnastored` — the concurrent multi-tenant storage daemon.
  *
  * A Server binds a localhost TCP socket, accepts any number of
- * client connections (one reader thread per connection), and serves
- * the protocol.hh request set against a TenantRegistry:
+ * client connections (one reader thread per connection, joined by
+ * the acceptor once its client goes away), and serves the
+ * protocol.hh request set against a TenantRegistry:
  *
  *   Ping            liveness
  *   Put             tenant quota check + Store::put (coalesced:
  *                   synthesis deferred to the next read)
- *   Get/List/Health lock-free against the tenant's shared snapshot
- *   Scrub/Save      serialized through the tenant writer lock
+ *   Get/Health      lock-free against the store's published snapshot
+ *                   when current, else under the tenant writer lock
+ *   List/Scrub/Save serialized through the tenant writer lock
  *   Trial           Monte-Carlo batch on the store's dispatcher
  *
  * Every response carries an api/wire.hh status code, so the façade's
@@ -37,7 +39,6 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -86,12 +87,15 @@ class Server
     uint64_t requestsServed() const { return requestsServed_.load(); }
 
   private:
+    /** One client: its thread owns (and closes) the socket. */
     struct Connection
     {
-        int fd = -1;
+        std::atomic<bool> done{ false }; //!< Set as the thread exits.
         std::thread thread;
     };
 
+    /** Join and drop connections whose threads have finished. */
+    void reapFinishedConnections();
     void acceptLoop();
     void handleConnection(int fd);
     Response dispatch(const Request &request);
@@ -108,7 +112,7 @@ class Server
     std::atomic<uint64_t> requestsServed_{ 0 };
 
     std::thread acceptor_;
-    std::mutex connectionsMu_;
+    /** Owned by the acceptor thread; drain() takes over after joining it. */
     std::vector<std::unique_ptr<Connection>> connections_;
 };
 

@@ -68,87 +68,23 @@ Tenant::put(const std::string &objectName, std::vector<uint8_t> data)
             "byte quota",
             name_.c_str(), store_->totalBytes(), data.size(),
             size_t(config_.quotaBytes)));
+    // Synthesis is NOT triggered here: consecutive puts coalesce into
+    // the shared FileBundle and the next get or health pays one
+    // encode + synthesis for the whole batch.
     api::Status status = store_->put(objectName, std::move(data));
-    if (status.ok()) {
-        // Synthesis is NOT triggered here: consecutive puts coalesce
-        // into the shared FileBundle and the next snapshot rebuild
-        // pays one encode + synthesis for the whole batch.
+    if (status.ok())
         dirty_ = true;
-        generation_.fetch_add(1, std::memory_order_release);
-    }
     return status;
-}
-
-std::shared_ptr<const ReadSnapshot>
-Tenant::rebuildReadSnapshotLocked(uint64_t generation)
-{
-    auto snap = std::make_shared<ReadSnapshot>();
-    snap->generation = generation;
-    snap->stored = store_->list();
-    api::Result<api::Retrieval> retrieval = store_->retrieveAll();
-    if (!retrieval.ok()) {
-        snap->status = retrieval.status();
-        return snap;
-    }
-    snap->decoded = retrieval->decoded;
-    snap->exact = retrieval->exact;
-    snap->failedCodewords = retrieval->failedCodewords;
-    snap->erasedColumns = retrieval->erasedColumns;
-    snap->files = retrieval->objects.files();
-    return snap;
-}
-
-std::shared_ptr<const ReadSnapshot>
-Tenant::readSnapshot()
-{
-    // Fast path: no lock, one atomic shared_ptr load. The snapshot is
-    // valid while its generation matches the tenant's.
-    std::shared_ptr<const ReadSnapshot> snap =
-        std::atomic_load(&readSnap_);
-    uint64_t gen = generation_.load(std::memory_order_acquire);
-    if (snap && snap->generation == gen)
-        return snap;
-    std::lock_guard<std::mutex> lock(mu_);
-    snap = std::atomic_load(&readSnap_);
-    gen = generation_.load(std::memory_order_acquire);
-    if (snap && snap->generation == gen)
-        return snap;
-    snap = rebuildReadSnapshotLocked(gen);
-    std::atomic_store(&readSnap_,
-                      std::shared_ptr<const ReadSnapshot>(snap));
-    return snap;
 }
 
 api::Result<std::vector<uint8_t>>
 Tenant::get(const std::string &objectName)
 {
-    std::shared_ptr<const ReadSnapshot> snap = readSnapshot();
-    // Exactly Store::get's decision ladder (and messages), served
-    // from the snapshot instead of the live store.
-    bool known = false;
-    for (const api::ObjectInfo &info : snap->stored)
-        known = known || info.name == objectName;
-    if (!known)
-        return api::Status::notFound(api::formatMessage(
-            "no object named '%s'", objectName.c_str()));
-    if (!snap->status.ok())
-        return snap->status;
-    if (!snap->decoded)
-        return api::Status::dataLoss(api::formatMessage(
-            "the channel defeated the decoder (%zu codewords failed, "
-            "%zu columns erased); the directory is unrecoverable",
-            snap->failedCodewords, snap->erasedColumns));
-    if (!snap->exact)
-        return api::Status::dataLoss(api::formatMessage(
-            "the unit decoded with errors (%zu codewords failed); "
-            "retrieveAll() exposes the partial recovery",
-            snap->failedCodewords));
-    for (const NamedFile &file : snap->files)
-        if (file.name == objectName)
-            return file.data;
-    return api::Status::dataLoss(api::formatMessage(
-        "object '%s' missing from the recovered directory",
-        objectName.c_str()));
+    std::shared_ptr<const api::Snapshot> snap = store_->published();
+    if (snap && snap->retrieval)
+        return snap->get(objectName);
+    std::lock_guard<std::mutex> lock(mu_);
+    return store_->get(objectName);
 }
 
 std::vector<api::ObjectInfo>
@@ -159,36 +95,16 @@ Tenant::list()
 }
 
 api::Result<std::string>
-Tenant::healthJson(bool *exact)
+Tenant::healthJson()
 {
-    std::shared_ptr<const HealthSnapshot> snap =
-        std::atomic_load(&healthSnap_);
-    uint64_t gen = generation_.load(std::memory_order_acquire);
-    if (!snap || snap->generation != gen) {
-        std::lock_guard<std::mutex> lock(mu_);
-        snap = std::atomic_load(&healthSnap_);
-        gen = generation_.load(std::memory_order_acquire);
-        if (!snap || snap->generation != gen) {
-            auto fresh = std::make_shared<HealthSnapshot>();
-            fresh->generation = gen;
-            api::Result<api::HealthReport> health = store_->health();
-            if (health.ok()) {
-                fresh->json = health->toJson();
-                fresh->exact = health->exact;
-            } else {
-                fresh->status = health.status();
-            }
-            snap = fresh;
-            std::atomic_store(
-                &healthSnap_,
-                std::shared_ptr<const HealthSnapshot>(snap));
-        }
-    }
-    if (!snap->status.ok())
-        return snap->status;
-    if (exact != nullptr)
-        *exact = snap->exact;
-    return snap->json;
+    std::shared_ptr<const api::Snapshot> snap = store_->published();
+    if (snap && snap->health)
+        return snap->health->json;
+    std::lock_guard<std::mutex> lock(mu_);
+    api::Result<api::HealthReport> health = store_->health();
+    if (!health.ok())
+        return health.status();
+    return health->toJson();
 }
 
 api::Result<api::ScrubReport>
@@ -196,10 +112,8 @@ Tenant::scrub(const api::ScrubOptions &options)
 {
     std::lock_guard<std::mutex> lock(mu_);
     api::Result<api::ScrubReport> report = store_->scrub(options);
-    if (report.ok() && report->repaired > 0) {
+    if (report.ok() && report->repaired > 0)
         dirty_ = true;
-        generation_.fetch_add(1, std::memory_order_release);
-    }
     return report;
 }
 

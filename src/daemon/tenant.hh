@@ -3,24 +3,24 @@
  * Per-tenant namespaces of the `dnastored` daemon.
  *
  * Each tenant is one `api::Store` backed by its own
- * `<root>/<tenant>.dnapool` file, a byte quota, and the snapshot
- * discipline that makes the store safe under concurrent clients:
+ * `<root>/<tenant>.dnapool` file, a byte quota, and a writer lock
+ * that serializes the Store's (not internally synchronized) methods:
  *
- *  - READS are lock-free against a shared immutable snapshot: the
- *    first get() after a mutation takes the writer lock once, runs
- *    retrieveAll() and captures the recovered objects plus the decode
- *    verdict into a ReadSnapshot published via atomic shared_ptr;
- *    every later get() serves from that snapshot without touching the
- *    Store (whose own methods are not internally synchronized).
- *    Health reports snapshot the same way.
+ *  - GET and HEALTH first ask the store for its published snapshot
+ *    (Store::published(), lock-free): when it is current and holds
+ *    the needed part, the answer comes from it with no lock, no
+ *    decode and no JSON rendering. Otherwise the tenant takes the
+ *    writer lock and calls Store::get/Store::health, which decode or
+ *    probe once and publish the result for every later reader. The
+ *    store owns the one generation counter, the snapshot, and the
+ *    get() decision ladder; the tenant keeps no copy of any.
  *
- *  - MUTATIONS (put/scrub/save) serialize through the tenant's writer
- *    lock and bump the generation counter, so stale snapshots are
- *    invalidated by generation mismatch, never by mutation-time
- *    bookkeeping — the PR 7 memo-invalidation pattern, one level up.
+ *  - Everything else (put, list, scrub, trial submission, save)
+ *    runs under the writer lock. A put or repairing scrub bumps the
+ *    store's generation, so a snapshot can never serve stale state.
  *
  *  - PUT COALESCING: a put only appends to the store's FileBundle
- *    (cheap) — synthesis is deferred to the next snapshot build, so N
+ *    (cheap) — synthesis is deferred to the next get or health, so N
  *    small puts between reads share one FileBundle encode + one
  *    synthesis instead of N.
  *
@@ -32,7 +32,6 @@
 #ifndef DNASTORE_DAEMON_TENANT_HH
 #define DNASTORE_DAEMON_TENANT_HH
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -58,33 +57,7 @@ struct TenantConfig
     uint64_t unitSeed = 20220618;
 };
 
-/** Immutable result of one retrieval pass, shared across readers. */
-struct ReadSnapshot
-{
-    uint64_t generation = 0;
-    api::Status status; //!< retrieveAll() failure, when not ok().
-    bool decoded = false;
-    bool exact = false;
-    size_t failedCodewords = 0;
-    size_t erasedColumns = 0;
-
-    /** The manifest at snapshot time (name lookup for NotFound). */
-    std::vector<api::ObjectInfo> stored;
-
-    /** The recovered objects (empty when !decoded). */
-    std::vector<NamedFile> files;
-};
-
-/** Immutable health probe result, shared across readers. */
-struct HealthSnapshot
-{
-    uint64_t generation = 0;
-    api::Status status;
-    std::string json;
-    bool exact = false;
-};
-
-/** One tenant: a Store, its pool path, quota, and snapshots. */
+/** One tenant: a Store, its pool path, quota, and writer lock. */
 class Tenant
 {
   public:
@@ -100,22 +73,25 @@ class Tenant
     const std::string &name() const { return name_; }
     const std::string &poolPath() const { return poolPath_; }
 
-    /** Quota check + Store::put + generation bump, under the lock. */
+    /** Quota check + Store::put, under the lock. */
     api::Status put(const std::string &objectName,
                     std::vector<uint8_t> data);
 
     /**
-     * Serve one object from the current read snapshot (building it
-     * first if stale). Result and error statuses are exactly
-     * Store::get's on the same store state.
+     * Serve one object from the store's published snapshot, or
+     * through Store::get under the lock when none is current. Result
+     * and error statuses are exactly Store::get's on the same state.
      */
     api::Result<std::vector<uint8_t>> get(const std::string &objectName);
 
     /** Directory of stored objects (insertion order). */
     std::vector<api::ObjectInfo> list();
 
-    /** Health report JSON from the current health snapshot. */
-    api::Result<std::string> healthJson(bool *exact);
+    /**
+     * Health report JSON: the published snapshot's memo, or
+     * Store::health under the lock when none is current.
+     */
+    api::Result<std::string> healthJson();
 
     /** Synchronous scrub under the writer lock. */
     api::Result<api::ScrubReport> scrub(const api::ScrubOptions &options);
@@ -135,25 +111,18 @@ class Tenant
     api::Status saveIfDirty();
 
   private:
-    std::shared_ptr<const ReadSnapshot> readSnapshot();
-    std::shared_ptr<const ReadSnapshot> rebuildReadSnapshotLocked(
-        uint64_t generation);
-
     const std::string name_;
     const std::string poolPath_;
     const TenantConfig config_;
 
-    /** Serializes mutations and snapshot rebuilds. */
+    /** Serializes every Store call except published(). */
     std::mutex mu_;
-    std::optional<api::Store> store_; //!< Guarded by mu_.
-    bool dirty_ = false;              //!< Guarded by mu_.
-
-    /** Bumped (under mu_) by every successful mutation. */
-    std::atomic<uint64_t> generation_{ 1 };
-
-    /** Published snapshots (std::atomic_load/store access). */
-    std::shared_ptr<const ReadSnapshot> readSnap_;
-    std::shared_ptr<const HealthSnapshot> healthSnap_;
+    /**
+     * Set once by open(), before the tenant is shared. Guarded by
+     * mu_, except published(), which is safe without it.
+     */
+    std::optional<api::Store> store_;
+    bool dirty_ = false; //!< Guarded by mu_.
 };
 
 /** Name → Tenant map; tenants are created once and never removed. */

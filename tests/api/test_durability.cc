@@ -1,16 +1,22 @@
 /**
  * The durability loop through the api::Store façade: health
  * telemetry, the aging fault injector, sync and async scrubbing, the
- * retrieveAll memo-invalidation contract (a stale memo must never
- * serve pre-mutation results), and the StatusCode producing-path
- * audit (every code is reachable through the public API or is
- * explicitly documented reserved).
+ * one-snapshot contract (a stale retrieval or health memo must never
+ * serve pre-mutation results, and the lock-free reader never sees a
+ * torn snapshot), and the StatusCode producing-path audit (every
+ * code is reachable through the public API or is explicitly
+ * documented reserved).
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <fstream>
 #include <limits>
+#include <mutex>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "api/api.hh"
 
@@ -271,6 +277,127 @@ TEST(StoreMemo, ScrubRepairInvalidatesTheRetrieveAllMemo)
     const size_t repaired_cost =
         2 * after->erasedColumns + after->correctedErrors;
     EXPECT_LT(repaired_cost, aged_cost);
+}
+
+// The health memo follows the same generation as the retrieval
+// snapshot: every mutation — put, age, a repairing scrub, and a
+// repairing ScrubJob — must make the next health() probe again. A
+// stale memo would replay the previous report byte for byte.
+TEST(StoreMemo, EveryMutationInvalidatesTheHealthMemo)
+{
+    Store store = openAging(decayProfile());
+    ASSERT_TRUE(store.put("a.bin", patternBytes(900, 12)).ok());
+    auto healthJson = [&store] {
+        Result<HealthReport> health = store.health();
+        EXPECT_TRUE(health.ok()) << health.status().toString();
+        return health.ok() ? health->toJson() : std::string();
+    };
+    std::string last = healthJson();
+    EXPECT_EQ(healthJson(), last); // memoized: same generation
+
+    ASSERT_TRUE(store.put("b.bin", patternBytes(900, 13)).ok());
+    std::string now = healthJson();
+    EXPECT_NE(now, last) << "put left the health memo stale";
+    last = now;
+
+    ASSERT_TRUE(store.age(2).ok());
+    now = healthJson();
+    EXPECT_NE(now, last) << "age left the health memo stale";
+    last = now;
+
+    ScrubOptions repair_all;
+    repair_all.repairAll = true;
+    Result<ScrubReport> sync = store.scrub(repair_all);
+    ASSERT_TRUE(sync.ok()) << sync.status().toString();
+    ASSERT_GT(sync->repaired, 0u);
+    now = healthJson();
+    EXPECT_NE(now, last) << "scrub left the health memo stale";
+    last = now;
+
+    ASSERT_TRUE(store.age(2).ok());
+    last = healthJson();
+    ScrubJob job;
+    job.options.repairAll = true;
+    Result<ScrubReport> async = store.submit(job).get();
+    ASSERT_TRUE(async.ok()) << async.status().toString();
+    ASSERT_GT(async->repaired, 0u);
+    EXPECT_NE(healthJson(), last) << "ScrubJob left the health memo stale";
+}
+
+// The lock-free reader against a live writer: one thread puts and
+// gets under a caller-held mutex (the daemon's discipline) while
+// readers call published() with no lock. A reader sees the current
+// snapshot or none — never one whose names, decoded objects, and
+// generation disagree — and generations only move forward.
+TEST(StoreMemo, PublishedSnapshotIsCurrentOrAbsentNeverTorn)
+{
+    Store store = openPlain();
+    constexpr int kObjects = 10;
+    constexpr int kReaders = 4;
+    auto objectName = [](int i) { return "obj" + std::to_string(i); };
+    auto objectBytes = [](int i) {
+        return patternBytes(40 + size_t(i), uint8_t(i * 9));
+    };
+
+    std::mutex writer_mu;
+    std::atomic<bool> writing{ true };
+    std::atomic<int> torn{ 0 };
+    auto checkSnapshot = [&](const Snapshot &snap) {
+        // Names are always a prefix of the put order.
+        for (size_t i = 0; i < snap.names.size(); ++i)
+            if (snap.names[i] != objectName(int(i)))
+                ++torn;
+        if (!snap.retrieval)
+            return;
+        if (!snap.retrieval->exact ||
+            snap.retrieval->objects.fileCount() != snap.names.size())
+            ++torn;
+        for (size_t i = 0; i < snap.names.size(); ++i) {
+            Result<std::vector<uint8_t>> got = snap.get(snap.names[i]);
+            if (!got.ok() || *got != objectBytes(int(i)))
+                ++torn;
+        }
+    };
+
+    std::vector<std::thread> readers;
+    for (int r = 0; r < kReaders; ++r) {
+        readers.emplace_back([&] {
+            uint64_t last_generation = 0;
+            while (writing.load()) {
+                std::shared_ptr<const Snapshot> snap = store.published();
+                if (!snap)
+                    continue;
+                if (snap->generation < last_generation)
+                    ++torn;
+                last_generation = snap->generation;
+                checkSnapshot(*snap);
+            }
+        });
+    }
+    for (int i = 0; i < kObjects; ++i) {
+        std::lock_guard<std::mutex> lock(writer_mu);
+        ASSERT_TRUE(store.put(objectName(i), objectBytes(i)).ok());
+        Result<std::vector<uint8_t>> got = store.get(objectName(i));
+        ASSERT_TRUE(got.ok()) << got.status().toString();
+        EXPECT_EQ(*got, objectBytes(i));
+    }
+    writing.store(false);
+    for (std::thread &t : readers)
+        t.join();
+    EXPECT_EQ(torn.load(), 0);
+
+    // With the writer quiet, the last get's snapshot is current.
+    std::shared_ptr<const Snapshot> final_snap = store.published();
+    ASSERT_NE(final_snap, nullptr);
+    ASSERT_NE(final_snap->retrieval, nullptr);
+    EXPECT_EQ(final_snap->names.size(), size_t(kObjects));
+    checkSnapshot(*final_snap);
+    EXPECT_EQ(torn.load(), 0);
+
+    // A mutation retires it at once.
+    std::lock_guard<std::mutex> lock(writer_mu);
+    ASSERT_TRUE(store.put("late.bin", objectBytes(kObjects)).ok());
+    EXPECT_EQ(store.published(), nullptr);
 }
 
 TEST(StoreScrub, UnrepairablePoolIsUnavailable)

@@ -10,6 +10,8 @@
  *  - corruption containment: malformed payloads fail one request,
  *    framing failures close one connection, and an every-byte
  *    corruption sweep never crashes or wedges the server;
+ *  - bounded connections: thousands of short-lived clients leave
+ *    the server's thread and fd counts where they started;
  *  - drain durability: drain() persists every dirty tenant pool as a
  *    loadable .dnapool, and (subprocess test) SIGTERM mid-load exits
  *    0 with every acked put durable.
@@ -17,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include <dirent.h>
 #include <signal.h>
 #include <sys/stat.h>
 #include <sys/types.h>
@@ -24,6 +27,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -87,6 +91,23 @@ tenantConfig(const std::string &root)
     TenantConfig config;
     config.root = root;
     return config;
+}
+
+/** Entries in a /proc directory (threads or open fds). */
+size_t
+countEntries(const char *dir)
+{
+    DIR *d = ::opendir(dir);
+    if (d == nullptr) {
+        ADD_FAILURE() << "cannot open " << dir;
+        return 0;
+    }
+    size_t n = 0;
+    while (const struct dirent *entry = ::readdir(d))
+        if (entry->d_name[0] != '.')
+            ++n;
+    ::closedir(d);
+    return n;
 }
 
 } // namespace
@@ -279,6 +300,76 @@ TEST(DaemonE2E, NotFoundStatusesMatchTheFacade)
     EXPECT_EQ(ghost.status().message(), "no tenant named 'bob'");
     std::ifstream ghost_pool(root + "/bob.dnapool");
     EXPECT_FALSE(bool(ghost_pool));
+    EXPECT_TRUE(server.drain().ok());
+
+    // The DATA_LOSS rungs too: a channel that defeats the decoder
+    // must fail the same way, word for word, on the first (locked)
+    // get and on the second, served from the published snapshot.
+    const std::string lossy_root = freshRoot("notfound_lossy");
+    ServerOptions lossy;
+    lossy.tenants = tenantConfig(lossy_root);
+    lossy.tenants.errorRate = 0.3;
+    lossy.tenants.coverage = 1;
+    Server lossy_server(lossy);
+    ASSERT_TRUE(lossy_server.start().ok());
+    Client lossy_client;
+    ASSERT_TRUE(lossy_client.connect(lossy_server.port()).ok());
+    const std::vector<uint8_t> payload = patternBytes(300, 5);
+    ASSERT_TRUE(lossy_client.put("alice", "a.bin", payload).ok());
+    api::Store direct = directStoreFor(lossy.tenants);
+    ASSERT_TRUE(direct.put("a.bin", payload).ok());
+    api::Result<std::vector<uint8_t>> local = direct.get("a.bin");
+    ASSERT_FALSE(local.ok());
+    EXPECT_EQ(local.status().code(), api::StatusCode::DataLoss);
+    for (int attempt = 0; attempt < 2; ++attempt) {
+        api::Result<std::vector<uint8_t>> remote =
+            lossy_client.get("alice", "a.bin");
+        ASSERT_FALSE(remote.ok()) << "attempt " << attempt;
+        EXPECT_EQ(remote.status().code(), local.status().code());
+        EXPECT_EQ(remote.status().message(), local.status().message());
+    }
+}
+
+// ---------------------------------------------------- connection lifecycle
+
+// Every connection's thread and socket must go away with its client:
+// thousands of short-lived clients may not grow the daemon's thread
+// or fd count.
+TEST(DaemonE2E, ConnectionChurnLeavesNoThreadsOrFds)
+{
+    const std::string root = freshRoot("churn");
+    ServerOptions options;
+    options.tenants = tenantConfig(root);
+    Server server(options);
+    ASSERT_TRUE(server.start().ok());
+
+    const size_t threads_before = countEntries("/proc/self/task");
+    const size_t fds_before = countEntries("/proc/self/fd");
+    constexpr int kCycles = 2000;
+    for (int i = 0; i < kCycles; ++i) {
+        Client client;
+        ASSERT_TRUE(client.connect(server.port()).ok()) << "cycle " << i;
+        ASSERT_TRUE(client.ping().ok()) << "cycle " << i;
+    }
+
+    // The last few connections finish asynchronously; the acceptor
+    // reaps them within a poll interval.
+    constexpr size_t kSlack = 4;
+    size_t threads_after = 0;
+    size_t fds_after = 0;
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    do {
+        threads_after = countEntries("/proc/self/task");
+        fds_after = countEntries("/proc/self/fd");
+        if (threads_after <= threads_before + kSlack &&
+            fds_after <= fds_before + kSlack)
+            break;
+        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    } while (std::chrono::steady_clock::now() < deadline);
+    EXPECT_LE(threads_after, threads_before + kSlack);
+    EXPECT_LE(fds_after, fds_before + kSlack);
+    EXPECT_TRUE(server.drain().ok());
 }
 
 // ----------------------------------------------------- corruption handling
