@@ -4,13 +4,12 @@
 #include <atomic>
 #include <cerrno>
 #include <cstdlib>
-#include <cstring>
 
 #include <unistd.h>
 
 #include "cluster/greedy.hh"
-#include "util/crc32.hh"
 #include "util/errno_text.hh"
+#include "util/frame.hh"
 #include "util/parallel.hh"
 #include "util/simd.hh"
 
@@ -32,18 +31,10 @@ void
 appendSpillChunk(std::vector<uint8_t> &out, const uint8_t *payload,
                  size_t n)
 {
-    ByteWriter header;
-    header.u32(kSpillMagic);
-    header.u32(uint32_t(n));
-    header.u32(crc32(payload, n));
-    out.insert(out.end(), header.data().begin(), header.data().end());
-    out.insert(out.end(), payload, payload + n);
+    appendFrame(kSpillFrame, out, payload, n);
 }
 
 namespace {
-
-/** Largest chunk a writer emits; readers reject anything bigger. */
-constexpr size_t kMaxChunkBytes = size_t(16) << 20;
 
 /** Parse one chunk's records; bytes are CRC-verified already. */
 void
@@ -79,31 +70,20 @@ parseSpillChunks(const uint8_t *bytes, size_t n,
                                           const uint64_t *)> &record)
 {
     std::vector<uint64_t> words;
-    ByteReader reader(bytes, n);
-    while (reader.ok() && reader.remaining() > 0) {
-        uint32_t magic = reader.u32();
-        uint32_t len = reader.u32();
-        uint32_t crc = reader.u32();
-        if (!reader.ok())
-            throw SpillError("truncated spill chunk header");
-        if (magic != kSpillMagic)
-            throw SpillError("bad spill chunk magic");
-        if (len > kMaxChunkBytes)
-            throw SpillError("implausible spill chunk length");
-        if (len > reader.remaining())
-            throw SpillError("truncated spill chunk payload");
-        const uint8_t *payload = bytes + reader.pos();
-        reader.skip(len);
-        if (crc32(payload, len) != crc)
-            throw SpillError("spill chunk CRC mismatch");
-        parseRecords(payload, len, record, words);
+    size_t pos = 0;
+    while (pos < n) {
+        const FrameParse chunk =
+            parseFrame(kSpillFrame, bytes + pos, n - pos);
+        if (chunk.status == FrameStatus::Bad)
+            throw SpillError(std::string("spill chunk: ") + chunk.error);
+        if (chunk.status == FrameStatus::NeedMore)
+            throw SpillError("truncated spill chunk");
+        parseRecords(chunk.payload, chunk.payloadBytes, record, words);
+        pos += chunk.frameBytes;
     }
 }
 
 } // namespace cluster_detail
-
-using cluster_detail::appendSpillChunk;
-using cluster_detail::kSpillMagic;
 
 namespace {
 
@@ -171,17 +151,16 @@ StreamingClusterer::~StreamingClusterer()
 
 void
 StreamingClusterer::appendRecord(Segment &seg, uint64_t id,
-                                 uint64_t minimizer, StrandView read)
+                                 uint64_t minimizer, size_t len,
+                                 const uint64_t *words)
 {
     size_t before = seg.open.size();
     seg.open.u64(id);
     seg.open.u64(minimizer);
-    seg.open.u32(uint32_t(read.size()));
-    size_t n_words = packedWordCount(read.size());
-    packScratch_.resize(n_words);
-    packBases(read.data(), read.size(), packScratch_.data());
+    seg.open.u32(uint32_t(len));
+    const size_t n_words = packedWordCount(len);
     for (size_t w = 0; w < n_words; ++w)
-        seg.open.u64(packScratch_[w]);
+        seg.open.u64(words[w]);
     bufferedBytes_ += seg.open.size() - before;
     stats_.peakBufferBytes =
         std::max(stats_.peakBufferBytes, bufferedBytes_);
@@ -195,10 +174,11 @@ StreamingClusterer::sealChunk(Segment &seg)
     if (seg.open.size() == 0)
         return;
     std::vector<uint8_t> payload = seg.open.take();
-    // Framing adds the 12-byte header; budget accounting follows the
-    // buffered bytes wherever they live.
-    bufferedBytes_ += 12;
-    appendSpillChunk(seg.chunks, payload.data(), payload.size());
+    // Framing adds the header; budget accounting follows the buffered
+    // bytes wherever they live.
+    bufferedBytes_ += kFrameHeaderBytes;
+    cluster_detail::appendSpillChunk(seg.chunks, payload.data(),
+                                     payload.size());
     seg.open = ByteWriter();
 }
 
@@ -275,28 +255,30 @@ StreamingClusterer::forEachRecord(
         if (std::fseek(seg.file, 0, SEEK_SET) != 0)
             throw SpillError("cannot rewind spill segment " +
                              seg.path);
-        // Bounded read-back: one CRC-framed chunk at a time.
-        std::vector<uint8_t> header(12), chunk;
+        // Bounded read-back: one chunk at a time, sized from a header
+        // whose magic and length already passed parseFrame's checks.
+        std::vector<uint8_t> chunk;
         size_t consumed = 0;
         while (consumed < seg.fileBytes) {
-            if (std::fread(header.data(), 1, 12, seg.file) != 12)
+            chunk.resize(kFrameHeaderBytes);
+            if (std::fread(chunk.data(), 1, kFrameHeaderBytes,
+                           seg.file) != kFrameHeaderBytes)
                 throw SpillError("truncated spill chunk header in " +
                                  seg.path);
-            ByteReader hr(header.data(), header.size());
-            hr.skip(4); // magic, re-verified by parseSpillChunks
-            uint32_t len = hr.u32();
-            if (len > cluster_detail::kMaxChunkBytes * 2)
-                throw SpillError(
-                    "implausible spill chunk length in " + seg.path);
-            chunk.resize(12 + len);
-            std::memcpy(chunk.data(), header.data(), 12);
-            if (std::fread(chunk.data() + 12, 1, len, seg.file) !=
-                len)
+            const FrameParse header = parseFrame(
+                kSpillFrame, chunk.data(), kFrameHeaderBytes);
+            if (header.status == FrameStatus::Bad)
+                throw SpillError(std::string("spill chunk: ") +
+                                 header.error + " in " + seg.path);
+            chunk.resize(header.frameBytes);
+            const size_t rest = header.frameBytes - kFrameHeaderBytes;
+            if (std::fread(chunk.data() + kFrameHeaderBytes, 1, rest,
+                           seg.file) != rest)
                 throw SpillError("truncated spill chunk in " +
                                  seg.path);
             cluster_detail::parseSpillChunks(chunk.data(),
                                              chunk.size(), record);
-            consumed += 12 + len;
+            consumed += chunk.size();
         }
     }
     cluster_detail::parseSpillChunks(seg.chunks.data(),
@@ -320,7 +302,9 @@ StreamingClusterer::add(StrandView read)
                      read.size(), counts);
     for (int b = 0; b < 4; ++b)
         stats_.baseCounts[b] += counts[b];
-    appendRecord(*log_, id, minimizer, read);
+    packScratch_.resize(packedWordCount(read.size()));
+    packBases(read.data(), read.size(), packScratch_.data());
+    appendRecord(*log_, id, minimizer, read.size(), packScratch_.data());
     if (params_.memoryBudgetBytes != 0 &&
         bufferedBytes_ > params_.memoryBudgetBytes)
         spillToDisk(*log_);
@@ -359,19 +343,8 @@ StreamingClusterer::finish()
     std::vector<Segment> shard_segs(shards);
     forEachRecord(*log_, [&](uint64_t id, uint64_t minimizer,
                              size_t len, const uint64_t *words) {
-        Segment &seg = shard_segs[minimizer % shards];
-        size_t before = seg.open.size();
-        seg.open.u64(id);
-        seg.open.u64(minimizer);
-        seg.open.u32(uint32_t(len));
-        size_t n_words = packedWordCount(len);
-        for (size_t w = 0; w < n_words; ++w)
-            seg.open.u64(words[w]);
-        bufferedBytes_ += seg.open.size() - before;
-        stats_.peakBufferBytes =
-            std::max(stats_.peakBufferBytes, bufferedBytes_);
-        if (seg.open.size() >= kChunkTargetBytes)
-            sealChunk(seg);
+        appendRecord(shard_segs[minimizer % shards], id, minimizer, len,
+                     words);
         enforceBudget(shard_segs);
     });
     releaseSegment(*log_);

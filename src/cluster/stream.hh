@@ -5,10 +5,10 @@
  * clusterReads assumes the whole read soup fits in RAM as a
  * std::vector<Strand>; at tens of millions of reads that is the
  * pipeline's asymptotic wall. StreamingClusterer ingests reads one at
- * a time, keeps them 2-bit packed in CRC-32-checksummed segments, and
- * spills to disk whenever the configured memory budget is exceeded —
- * so a 10M+ read soup clusters within a fixed buffer budget on a
- * laptop.
+ * a time, keeps them 2-bit packed in segments of CRC-32 framed
+ * chunks (util/frame.hh), and spills to disk whenever the configured
+ * memory budget is exceeded — so a 10M+ read soup clusters within a
+ * fixed buffer budget on a laptop.
  *
  * Three passes, mirroring the in-memory sharded clusterer exactly:
  *
@@ -84,21 +84,18 @@ struct StreamStats
 namespace cluster_detail {
 
 /**
- * Spill chunk framing, exposed for the corruption-sweep tests: a
- * chunk is [magic u32][payload length u32][CRC-32 of payload u32]
- * [payload], little-endian. Readers verify magic, a sane length, and
- * the CRC before parsing a single record byte.
+ * Frame @p payload as one spill chunk appended to @p out: a
+ * util/frame.hh frame of the kSpillFrame format (magic "DSPL",
+ * payload 1 B .. 16 MiB). Exposed for the corruption-sweep tests.
  */
-constexpr uint32_t kSpillMagic = 0x4c505344; // "DSPL"
-
-/** Frame @p payload as one chunk appended to @p out. */
 void appendSpillChunk(std::vector<uint8_t> &out,
                       const uint8_t *payload, size_t n);
 
 /**
  * Parse every chunk in @p bytes, invoking @p record for each spill
- * record (id, minimizer, length, packed words). Throws SpillError on
- * any framing, CRC, or record-bounds violation.
+ * record (id, minimizer, length, packed words). A chunk's magic,
+ * length, and CRC are verified before any of its records is parsed.
+ * Throws SpillError on any framing, CRC, or record-bounds violation.
  */
 void parseSpillChunks(
     const uint8_t *bytes, size_t n,
@@ -140,7 +137,7 @@ class StreamingClusterer
     struct ShardResult;
 
     void appendRecord(Segment &seg, uint64_t id, uint64_t minimizer,
-                      StrandView read);
+                      size_t len, const uint64_t *words);
     void sealChunk(Segment &seg);
     void spillToDisk(Segment &seg);
     void enforceBudget(std::vector<Segment> &segs);

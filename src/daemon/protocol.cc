@@ -5,7 +5,6 @@
 #include "api/wire.hh"
 #include "pipeline/bundle.hh"
 #include "util/byteio.hh"
-#include "util/crc32.hh"
 #include "util/rng.hh"
 
 namespace dnastore {
@@ -64,12 +63,10 @@ Response::status() const
 std::vector<uint8_t>
 frame(const std::vector<uint8_t> &payload)
 {
-    ByteWriter w;
-    w.u32(kFrameMagic);
-    w.u32(uint32_t(payload.size()));
-    w.u32(crc32(payload));
-    w.bytes(payload);
-    return w.take();
+    std::vector<uint8_t> out;
+    out.reserve(kFrameHeaderBytes + payload.size());
+    appendFrame(kServerFrame, out, payload.data(), payload.size());
+    return out;
 }
 
 FrameStatus
@@ -77,30 +74,16 @@ extractFrame(const std::vector<uint8_t> &buf,
              std::vector<uint8_t> *payload, size_t *consumed,
              std::string *error)
 {
-    auto bad = [&](const char *why) {
-        if (error != nullptr)
-            *error = why;
-        return FrameStatus::Bad;
-    };
-    if (buf.size() < kFrameHeaderBytes)
-        return FrameStatus::NeedMore;
-    ByteReader r(buf.data(), kFrameHeaderBytes);
-    const uint32_t magic = r.u32();
-    const uint32_t length = r.u32();
-    const uint32_t crc = r.u32();
-    if (magic != kFrameMagic)
-        return bad("bad frame magic (not a dnastored peer?)");
-    if (length == 0 || length > kMaxFramePayload)
-        return bad("frame length outside [1, 8 MiB] "
-                   "(corrupted length field)");
-    if (buf.size() < kFrameHeaderBytes + length)
-        return FrameStatus::NeedMore;
-    const uint8_t *body = buf.data() + kFrameHeaderBytes;
-    if (crc32(body, length) != crc)
-        return bad("frame payload CRC mismatch (corrupted in flight)");
-    payload->assign(body, body + length);
-    *consumed = kFrameHeaderBytes + length;
-    return FrameStatus::Ok;
+    const FrameParse parsed =
+        parseFrame(kServerFrame, buf.data(), buf.size());
+    if (parsed.status == FrameStatus::Bad && error != nullptr)
+        *error = parsed.error;
+    if (parsed.status == FrameStatus::Ok) {
+        payload->assign(parsed.payload,
+                        parsed.payload + parsed.payloadBytes);
+        *consumed = parsed.frameBytes;
+    }
+    return parsed.status;
 }
 
 std::vector<uint8_t>

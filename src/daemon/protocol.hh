@@ -3,21 +3,13 @@
  * The `dnastored` wire protocol: length-prefixed, CRC-framed binary
  * request/response messages over a byte stream (localhost TCP).
  *
- * Framing (all integers little-endian, the util/byteio discipline):
- *
- *   0   4  magic "DSRV"
- *   4   4  payload length N (1 <= N <= kMaxFramePayload)
- *   8   4  CRC-32 over the payload bytes
- *   12  N  payload
- *
- * The CRC is verified BEFORE the payload is decoded — exactly the
- * `.dnapool` section contract — so a bit-flipped frame surfaces as a
- * clean protocol error, never as a misparsed request. A bad magic,
- * an oversized length, or a CRC mismatch poisons the *stream* (the
- * reader cannot resynchronize mid-junk), so the server answers with
- * one DATA_LOSS/INVALID_ARGUMENT error frame and closes the
- * connection; a well-framed payload that fails request decoding only
- * fails that request and keeps the connection.
+ * Every message is one util/frame.hh frame of the kServerFrame
+ * format (magic "DSRV", payload 1 B .. 8 MiB). A frame that fails
+ * the magic, length, or CRC check poisons the *stream* (the reader
+ * cannot resynchronize mid-junk), so the server answers with one
+ * DATA_LOSS error frame and closes the connection; a well-framed
+ * payload that fails request decoding only fails that request and
+ * keeps the connection.
  *
  * Request payload:
  *
@@ -44,22 +36,14 @@
 #include <vector>
 
 #include "api/status.hh"
+#include "util/frame.hh"
 
 namespace dnastore {
 namespace daemon {
 
-/** Frame magic "DSRV", little-endian. */
-inline constexpr uint32_t kFrameMagic = 0x56525344u;
-
-/** Frame header bytes (magic + length + payload CRC). */
-inline constexpr size_t kFrameHeaderBytes = 12;
-
-/**
- * Hard payload ceiling. The unit payload capacity tops out well
- * under a MiB at the auto-geometry scales, so anything larger is a
- * corrupted length field, not a real request.
- */
-inline constexpr size_t kMaxFramePayload = 8u << 20;
+/** extractFrame's outcome and the frame header size (util/frame.hh). */
+using dnastore::FrameStatus;
+using dnastore::kFrameHeaderBytes;
 
 /** Request opcodes. Values are wire contract; append only. */
 enum class Op : uint8_t
@@ -109,22 +93,14 @@ struct Response
     api::Status status() const;
 };
 
-/** Wrap @p payload in a CRC-32 frame. */
+/** Wrap @p payload in a kServerFrame frame. */
 std::vector<uint8_t> frame(const std::vector<uint8_t> &payload);
 
-/** extractFrame outcome. */
-enum class FrameStatus
-{
-    Ok,       //!< One whole frame extracted.
-    NeedMore, //!< The buffer holds only a frame prefix so far.
-    Bad,      //!< Magic/length/CRC failure; the stream is poisoned.
-};
-
 /**
- * Try to pull one frame off the front of @p buf. On Ok, @p payload
- * receives the verified payload and @p consumed the total frame
- * length to drop from the buffer. On Bad, @p error names the
- * failure ("bad frame magic", "frame payload CRC mismatch", ...).
+ * Try to pull one kServerFrame frame off the front of @p buf. On Ok,
+ * @p payload receives the verified payload and @p consumed the total
+ * frame length to drop from the buffer. On Bad, @p error names the
+ * failure ("bad frame magic ...", "frame payload CRC mismatch ...").
  */
 FrameStatus extractFrame(const std::vector<uint8_t> &buf,
                          std::vector<uint8_t> *payload,

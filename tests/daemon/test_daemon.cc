@@ -20,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include <dirent.h>
+#include <malloc.h>
 #include <signal.h>
 #include <sys/stat.h>
 #include <sys/types.h>
@@ -108,6 +109,19 @@ countEntries(const char *dir)
             ++n;
     ::closedir(d);
     return n;
+}
+
+/** This process's virtual size in KiB (VmSize, /proc/self/status). */
+size_t
+vmSizeKb()
+{
+    std::ifstream status("/proc/self/status");
+    std::string line;
+    while (std::getline(status, line))
+        if (line.compare(0, 7, "VmSize:") == 0)
+            return size_t(std::strtoull(line.c_str() + 7, nullptr, 10));
+    ADD_FAILURE() << "no VmSize in /proc/self/status";
+    return 0;
 }
 
 } // namespace
@@ -343,8 +357,15 @@ TEST(DaemonE2E, ConnectionChurnLeavesNoThreadsOrFds)
     Server server(options);
     ASSERT_TRUE(server.start().ok());
 
+    // glibc gives a new thread that finds no idle malloc arena a
+    // fresh one: a 64 MiB address-space reservation (up to 8 per
+    // core), reused by later threads. That is bounded, but large
+    // enough to hide a per-connection leak, so the measured cycles
+    // share one arena.
+    mallopt(M_ARENA_MAX, 1);
     const size_t threads_before = countEntries("/proc/self/task");
     const size_t fds_before = countEntries("/proc/self/fd");
+    const size_t vm_before_kb = vmSizeKb();
     constexpr int kCycles = 2000;
     for (int i = 0; i < kCycles; ++i) {
         Client client;
@@ -369,6 +390,12 @@ TEST(DaemonE2E, ConnectionChurnLeavesNoThreadsOrFds)
     } while (std::chrono::steady_clock::now() < deadline);
     EXPECT_LE(threads_after, threads_before + kSlack);
     EXPECT_LE(fds_after, fds_before + kSlack);
+    // Memory stays bounded too: a thread stack leaked per connection
+    // would add 8 MiB of VmSize a cycle.
+    constexpr size_t kVmGrowthBoundKb = size_t(64) << 10;
+    const size_t vm_after_kb = vmSizeKb();
+    EXPECT_LE(vm_after_kb, vm_before_kb + kVmGrowthBoundKb)
+        << "VmSize " << vm_before_kb << " -> " << vm_after_kb << " KiB";
     EXPECT_TRUE(server.drain().ok());
 }
 

@@ -2,7 +2,7 @@
 """Repo-specific invariant linter for dnastore.
 
 Generic tools (clang-tidy, sanitizers) cannot know this repo's
-contracts; this linter machine-checks the three that reviews have had
+contracts; this linter machine-checks the four that reviews have had
 to police by hand:
 
   1. no-throw-boundary
@@ -28,6 +28,13 @@ to police by hand:
      escapes live in ALLOWLIST below; every entry must still match
      real source (a stale entry is itself an error) so the list can
      only shrink, never silently rot.
+
+  4. one-frame-codec
+     A `crc32(` call under src/ is legal only in the shared frame
+     codec (src/util/frame.cc), the `.dnapool` section codec
+     (src/api/pool_file.cc, whose versioned on-disk layout differs),
+     and the CRC itself (src/util/crc32.*). A checksum anywhere else
+     is a hand-rolled framing: use util/frame.hh instead.
 
 Exit status: 0 clean, 1 violations found, 2 usage/internal error.
 
@@ -81,6 +88,16 @@ ALLOWLIST = {
 }
 
 SOURCE_EXTS = (".cc", ".hh", ".cpp", ".hpp", ".h")
+
+# The only files under src/ that may compute a CRC-32 themselves.
+CRC_CALL_ALLOWED = (
+    "src/util/frame.cc",
+    "src/api/pool_file.cc",
+    "src/util/crc32.cc",
+    "src/util/crc32.hh",
+)
+
+CRC_CALL_RE = re.compile(r"(?<![A-Za-z0-9_])crc32\s*\(")
 
 
 def strip_comments_and_strings(text):
@@ -313,12 +330,39 @@ def check_determinism(root):
 
 
 # --------------------------------------------------------------------------
+# Check 4: one frame codec.
+
+
+def check_one_frame_codec(root):
+    violations = []
+    for path in iter_source_files(root, ("src",)):
+        rel = os.path.relpath(path, root).replace(os.sep, "/")
+        if rel in CRC_CALL_ALLOWED:
+            continue
+        stripped = strip_comments_and_strings(read_text(path))
+        for lineno, line in enumerate(stripped.splitlines(), 1):
+            if CRC_CALL_RE.search(line):
+                violations.append(
+                    Violation(
+                        "one-frame-codec",
+                        rel,
+                        lineno,
+                        "crc32() call outside the frame and pool-file "
+                        "codecs (a hand-rolled framing: use "
+                        "util/frame.hh)",
+                    )
+                )
+    return violations
+
+
+# --------------------------------------------------------------------------
 # Driver.
 
 ALL_CHECKS = (
     ("no-throw-boundary", check_no_throw),
     ("statuscode-wire-mapping", check_wire_mapping),
     ("determinism-hygiene", check_determinism),
+    ("one-frame-codec", check_one_frame_codec),
 )
 
 
@@ -385,6 +429,15 @@ def clean_tree_files():
             "int toStrandCount(int n) { return n; }  // rand( in name\n"
         ),
         "src/pipeline/sim.cc": "int simulate(int seed) { return seed; }\n",
+        # The CRC's own home and the two codecs may call it; a
+        # mention in a comment or string elsewhere is not a call.
+        "src/util/crc32.cc": "uint32_t crc32(const uint8_t *d, size_t n);\n",
+        "src/util/frame.cc": "uint32_t c = crc32(payload, n);\n",
+        "src/api/pool_file.cc": "uint32_t c = crc32(body);\n",
+        "src/daemon/protocol.cc": (
+            "// framed by util/frame, never by crc32(payload) here\n"
+            'const char *why = "crc32( mismatch";\n'
+        ),
     }
 
 
@@ -465,6 +518,21 @@ def self_test():
                     "seeded %s not caught" % ban_name,
                     failures,
                 )
+
+            # Seed 4: a hand-rolled framing checksums its payload.
+            seeded = dict(clean_tree_files())
+            seeded["src/cluster/stream.cc"] = (
+                "uint32_t frameCrc(const uint8_t *p, size_t n)"
+                " { return crc32 (p, n); }\n"
+            )
+            write_tree(root, seeded)
+            got = [v for v in run_checks(root) if v.check == "one-frame-codec"]
+            expect(
+                len(got) == 1 and got[0].path == "src/cluster/stream.cc",
+                "seeded crc32() outside the codecs not caught",
+                failures,
+            )
+            os.remove(os.path.join(root, "src/cluster/stream.cc"))
 
             # Seed 3b: an allowlisted violation passes, and a stale
             # allowlist entry fails.
