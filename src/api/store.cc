@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <utility>
 
 #include "api/pool_file.hh"
@@ -47,6 +48,16 @@ readyFuture(Status status)
     return Future<Result<T>>(promise.get_future());
 }
 
+/** What every submit() on a moved-from Store resolves to. */
+template <typename T>
+Future<Result<T>>
+movedFrom()
+{
+    return readyFuture<T>(Status::unavailable(
+        "the store was moved from or torn down; nothing can be "
+        "submitted against it"));
+}
+
 Retrieval
 mapRetrieval(const RetrievalResult &result)
 {
@@ -60,73 +71,6 @@ mapRetrieval(const RetrievalResult &result)
     out.failedCodewords = result.decoded.stats.failedCodewords;
     out.indexFaults = result.decoded.stats.indexFaults;
     out.errorsPerCodeword = result.decoded.stats.errorsPerCodeword;
-    return out;
-}
-
-HealthReport
-mapHealth(const UnitHealth &health)
-{
-    HealthReport out;
-    out.clusters = health.clusters;
-    out.liveReads = health.liveReads;
-    out.poolCoverage = health.poolCoverage;
-    out.emptyClusters = health.emptyClusters;
-    out.indexFaults = health.indexFaults;
-    out.erasedColumns = health.erasedColumns;
-    out.failedCodewords = health.failedCodewords;
-    out.agedEpochs = health.agedEpochs;
-    out.exact = health.exact;
-    out.meanAgreement = health.meanAgreement;
-    out.minAgreement = health.minAgreement;
-    out.minMargin = health.minMargin;
-    out.perCluster.reserve(health.perCluster.size());
-    for (const ClusterHealth &c : health.perCluster)
-        out.perCluster.push_back(
-            { c.reads, c.indexOk, c.claimed, c.column, c.agreement });
-    out.perCodeword.reserve(health.perCodeword.size());
-    for (const CodewordHealth &cw : health.perCodeword)
-        out.perCodeword.push_back({ cw.ok, cw.errorsCorrected,
-                                    cw.erasuresCorrected, cw.margin });
-    return out;
-}
-
-/**
- * ScrubOptions is a plain struct (no builder), so the non-finite gate
- * lives at the two consumption points: a NaN minAgreement would make
- * every `agreement < minAgreement` comparison false and silently turn
- * the policy into a no-op.
- */
-Status
-checkScrubOptions(const ScrubOptions &options)
-{
-    if (!std::isfinite(options.minAgreement))
-        return Status::invalidArgument(formatMessage(
-            "scrub min-agreement must be finite (got %g)",
-            options.minAgreement));
-    return Status();
-}
-
-ScrubPolicy
-mapScrubOptions(const ScrubOptions &options)
-{
-    ScrubPolicy policy;
-    policy.minReads = options.minReads;
-    policy.minAgreement = options.minAgreement;
-    policy.repairAll = options.repairAll;
-    return policy;
-}
-
-ScrubReport
-mapScrubReport(const PoolScrubReport &report)
-{
-    ScrubReport out;
-    out.clustersScanned = report.clustersScanned;
-    out.lowMargin = report.lowMargin;
-    out.repaired = report.repaired;
-    out.unrepairable = report.unrepairable;
-    out.failedCodewords = report.failedCodewords;
-    out.readsRewritten = report.readsRewritten;
-    out.repairable = report.repairable;
     return out;
 }
 
@@ -318,6 +262,55 @@ struct Store::Rep
         if (prepared && !dirty)
             return Status();
         return build(/*with_pools=*/false);
+    }
+
+    /** One scrub pass, ready to run on any thread. */
+    using ScrubTask = std::function<Result<ScrubReport>()>;
+
+    /**
+     * The one scrub path behind Store::scrub and submit(ScrubJob).
+     * The gates (read-only, finite options, a synthesized pool) run
+     * now, on the caller's thread; the returned task scrubs — inline
+     * for scrub(), on the job's thread for a ScrubJob. It holds the
+     * simulator and the generation counter by shared_ptr, so a repair
+     * still invalidates the snapshot if the Store moves meanwhile.
+     */
+    Result<ScrubTask>
+    scrubTask(const ScrubOptions &options)
+    {
+        if (readOnly)
+            return Status::failedPrecondition(
+                "the store was opened read-only; scrub is not "
+                "available");
+        // ScrubOptions is a plain struct (no builder), so the
+        // non-finite gate lives here: a NaN minAgreement would make
+        // every `agreement < minAgreement` comparison false and
+        // silently turn the policy into a no-op.
+        if (!std::isfinite(options.minAgreement))
+            return Status::invalidArgument(formatMessage(
+                "scrub min-agreement must be finite (got %g)",
+                options.minAgreement));
+        if (Status status = ensureSynthesized(); !status.ok())
+            return status;
+        return ScrubTask([sim = sim, generation = generation,
+                          options]() -> Result<ScrubReport> {
+            try {
+                ScrubReport report = sim->scrub(options);
+                if (report.repaired > 0)
+                    generation->fetch_add(1);
+                if (!report.repairable && report.lowMargin > 0)
+                    return Status::unavailable(formatMessage(
+                        "%zu clusters need repair but %zu codewords "
+                        "failed at the current read depth, so the "
+                        "recovered data cannot be trusted for "
+                        "rewriting; retry after re-synthesis or at "
+                        "deeper coverage",
+                        report.lowMargin, report.failedCodewords));
+                return report;
+            } catch (const std::exception &e) {
+                return Status::internal(e.what());
+            }
+        });
     }
 };
 
@@ -685,7 +678,7 @@ Store::health()
     const uint64_t generation = rep_->generation->load();
     try {
         auto memo = std::make_shared<HealthMemo>();
-        memo->report = mapHealth(rep_->sim->probeHealth());
+        memo->report = rep_->sim->probeHealth();
         memo->json = memo->report.toJson();
         Snapshot next = rep_->successor(current, generation);
         next.health = memo;
@@ -721,40 +714,17 @@ Store::age(size_t epochs)
 Result<ScrubReport>
 Store::scrub(const ScrubOptions &options)
 {
-    if (rep_->readOnly)
-        return Status::failedPrecondition(
-            "the store was opened read-only; scrub() is not "
-            "available");
-    if (Status bad = checkScrubOptions(options); !bad.ok())
-        return bad;
-    Status status = rep_->ensureSynthesized();
-    if (!status.ok())
-        return status;
-    try {
-        PoolScrubReport report =
-            rep_->sim->scrub(mapScrubOptions(options));
-        if (report.repaired > 0)
-            rep_->generation->fetch_add(1);
-        if (!report.repairable && report.lowMargin > 0)
-            return Status::unavailable(formatMessage(
-                "%zu clusters need repair but %zu codewords failed at "
-                "the current read depth, so the recovered data cannot "
-                "be trusted for rewriting; retry after re-synthesis "
-                "or at deeper coverage",
-                report.lowMargin, report.failedCodewords));
-        return mapScrubReport(report);
-    } catch (const std::exception &e) {
-        return Status::internal(e.what());
-    }
+    Result<Rep::ScrubTask> task = rep_->scrubTask(options);
+    if (!task.ok())
+        return task.status();
+    return (*task)();
 }
 
 Future<Result<EncodedArtifact>>
 Store::submit(const EncodeJob &)
 {
     if (!rep_)
-        return readyFuture<EncodedArtifact>(Status::unavailable(
-            "the store was moved from or torn down; nothing can be "
-            "submitted against it"));
+        return movedFrom<EncodedArtifact>();
     Result<StorageConfig> cfg = rep_->resolveConfig();
     if (!cfg.ok())
         return readyFuture<EncodedArtifact>(cfg.status());
@@ -786,9 +756,7 @@ Future<Result<DecodedObjects>>
 Store::submit(const DecodeJob &job)
 {
     if (!rep_)
-        return readyFuture<DecodedObjects>(Status::unavailable(
-            "the store was moved from or torn down; nothing can be "
-            "submitted against it"));
+        return movedFrom<DecodedObjects>();
     return Future<Result<DecodedObjects>>(std::async(
         std::launch::async,
         [text = job.text,
@@ -922,9 +890,7 @@ Future<Result<TrialSeries>>
 Store::submit(const TrialJob &job)
 {
     if (!rep_)
-        return readyFuture<TrialSeries>(Status::unavailable(
-            "the store was moved from or torn down; nothing can be "
-            "submitted against it"));
+        return movedFrom<TrialSeries>();
     if (job.useClusterer && !rep_->channel.hasCluster())
         return readyFuture<TrialSeries>(Status::failedPrecondition(
             "TrialJob.useClusterer needs ClusterOptions on the "
@@ -961,13 +927,12 @@ Store::submit(const TrialJob &job)
             rep_->channel.clusterParams());
     const size_t aging_epochs = job.agingEpochs;
     const bool scrub_each_epoch = job.scrubEachEpoch;
-    const ScrubPolicy policy = mapScrubOptions(job.scrub);
     const size_t fixed_coverage = rep_->channel.fixedCoverage();
     return Future<Result<TrialSeries>>(std::async(
         std::launch::async,
         [sim, coverage, cluster, seeds = job.trialSeeds,
          threads = job.threads, aging_epochs, scrub_each_epoch,
-         policy, fixed_coverage]() -> Result<TrialSeries> {
+         policy = job.scrub, fixed_coverage]() -> Result<TrialSeries> {
             try {
                 TrialSeries series;
                 series.trials.resize(seeds.size());
@@ -1019,46 +984,15 @@ Future<Result<ScrubReport>>
 Store::submit(const ScrubJob &job)
 {
     if (!rep_)
-        return readyFuture<ScrubReport>(Status::unavailable(
-            "the store was moved from or torn down; nothing can be "
-            "submitted against it"));
-    if (rep_->readOnly)
-        return readyFuture<ScrubReport>(Status::failedPrecondition(
-            "the store was opened read-only; scrub is not available"));
-    if (Status bad = checkScrubOptions(job.options); !bad.ok())
-        return readyFuture<ScrubReport>(std::move(bad));
-    Status status = rep_->ensureSynthesized();
-    if (!status.ok())
-        return readyFuture<ScrubReport>(std::move(status));
-
+        return movedFrom<ScrubReport>();
+    Result<Rep::ScrubTask> task = rep_->scrubTask(job.options);
+    if (!task.ok())
+        return readyFuture<ScrubReport>(task.status());
     // Unlike the other jobs this one MUTATES the shared simulator
     // (that is its purpose: the repairs must land in the store's
-    // pool). The generation counter travels as a shared_ptr so the
-    // snapshot is invalidated even if the Store moves while the job
-    // runs.
-    std::shared_ptr<StorageSimulator> sim = rep_->sim;
-    std::shared_ptr<std::atomic<uint64_t>> generation = rep_->generation;
-    const ScrubPolicy policy = mapScrubOptions(job.options);
-    return Future<Result<ScrubReport>>(std::async(
-        std::launch::async,
-        [sim, generation, policy]() -> Result<ScrubReport> {
-            try {
-                PoolScrubReport report = sim->scrub(policy);
-                if (report.repaired > 0)
-                    generation->fetch_add(1);
-                if (!report.repairable && report.lowMargin > 0)
-                    return Status::unavailable(formatMessage(
-                        "%zu clusters need repair but %zu codewords "
-                        "failed at the current read depth, so the "
-                        "recovered data cannot be trusted for "
-                        "rewriting; retry after re-synthesis or at "
-                        "deeper coverage",
-                        report.lowMargin, report.failedCodewords));
-                return mapScrubReport(report);
-            } catch (const std::exception &e) {
-                return Status::internal(e.what());
-            }
-        }));
+    // pool), and bumps the generation from the job's own thread.
+    return Future<Result<ScrubReport>>(
+        std::async(std::launch::async, std::move(*task)));
 }
 
 const StoreOptions &

@@ -488,10 +488,13 @@ class Store
      * cluster with fresh full-depth reads of its repaired strand.
      * Repairs bump the generation, retiring the published snapshot.
      *
-     * Errors: FailedPrecondition on a read-only store; Unavailable
-     * when clusters need repair but some codeword failed at the
+     * Errors: InvalidArgument on a non-finite minAgreement;
+     * FailedPrecondition on a read-only store; Unavailable when the
+     * policy selected clusters but some codeword failed at the
      * current depth (every column then embeds an untrusted symbol, so
      * no rewrite is safe — transient: deeper coverage can clear it).
+     * submit(ScrubJob) runs this same pass, with the same errors, on
+     * its own thread.
      */
     Result<ScrubReport> scrub(const ScrubOptions &options
                               = ScrubOptions());

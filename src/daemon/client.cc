@@ -131,15 +131,24 @@ Client::roundTrip(const Request &request)
     return readResponse();
 }
 
+api::Result<std::vector<uint8_t>>
+Client::call(const Request &request)
+{
+    api::Result<Response> response = roundTrip(request);
+    if (!response.ok())
+        return response.status();
+    api::Status status = response->status();
+    if (!status.ok())
+        return status;
+    return std::move(response->body);
+}
+
 api::Status
 Client::ping()
 {
     Request request;
     request.op = Op::Ping;
-    api::Result<Response> response = roundTrip(request);
-    if (!response.ok())
-        return response.status();
-    return response->status();
+    return call(request).status();
 }
 
 api::Status
@@ -151,10 +160,7 @@ Client::put(const std::string &tenant, const std::string &name,
     request.tenant = tenant;
     request.name = name;
     request.data = data;
-    api::Result<Response> response = roundTrip(request);
-    if (!response.ok())
-        return response.status();
-    return response->status();
+    return call(request).status();
 }
 
 api::Result<std::vector<uint8_t>>
@@ -164,13 +170,7 @@ Client::get(const std::string &tenant, const std::string &name)
     request.op = Op::Get;
     request.tenant = tenant;
     request.name = name;
-    api::Result<Response> response = roundTrip(request);
-    if (!response.ok())
-        return response.status();
-    api::Status status = response->status();
-    if (!status.ok())
-        return status;
-    return std::move(response->body);
+    return call(request);
 }
 
 api::Result<std::vector<api::ObjectInfo>>
@@ -179,13 +179,10 @@ Client::list(const std::string &tenant)
     Request request;
     request.op = Op::List;
     request.tenant = tenant;
-    api::Result<Response> response = roundTrip(request);
-    if (!response.ok())
-        return response.status();
-    api::Status status = response->status();
-    if (!status.ok())
-        return status;
-    ByteReader r(response->body);
+    api::Result<std::vector<uint8_t>> body = call(request);
+    if (!body.ok())
+        return body.status();
+    ByteReader r(*body);
     std::vector<api::ObjectInfo> listing(r.u32());
     for (api::ObjectInfo &info : listing) {
         info.name = r.str(r.u16());
@@ -202,13 +199,10 @@ Client::health(const std::string &tenant)
     Request request;
     request.op = Op::Health;
     request.tenant = tenant;
-    api::Result<Response> response = roundTrip(request);
-    if (!response.ok())
-        return response.status();
-    api::Status status = response->status();
-    if (!status.ok())
-        return status;
-    return std::string(response->body.begin(), response->body.end());
+    api::Result<std::vector<uint8_t>> body = call(request);
+    if (!body.ok())
+        return body.status();
+    return std::string(body->begin(), body->end());
 }
 
 api::Result<std::string>
@@ -218,16 +212,11 @@ Client::scrub(const std::string &tenant,
     Request request;
     request.op = Op::Scrub;
     request.tenant = tenant;
-    request.minReads = options.minReads;
-    request.minAgreement = options.minAgreement;
-    request.repairAll = options.repairAll;
-    api::Result<Response> response = roundTrip(request);
-    if (!response.ok())
-        return response.status();
-    api::Status status = response->status();
-    if (!status.ok())
-        return status;
-    return std::string(response->body.begin(), response->body.end());
+    request.scrub = options;
+    api::Result<std::vector<uint8_t>> body = call(request);
+    if (!body.ok())
+        return body.status();
+    return std::string(body->begin(), body->end());
 }
 
 api::Result<std::vector<uint8_t>>
@@ -239,13 +228,10 @@ Client::trial(const std::string &tenant, uint32_t trials,
     request.tenant = tenant;
     request.trials = trials;
     request.trialSeed = seed;
-    api::Result<Response> response = roundTrip(request);
-    if (!response.ok())
-        return response.status();
-    api::Status status = response->status();
-    if (!status.ok())
-        return status;
-    ByteReader r(response->body);
+    api::Result<std::vector<uint8_t>> body = call(request);
+    if (!body.ok())
+        return body.status();
+    ByteReader r(*body);
     std::vector<uint8_t> flags = r.vec(r.u32());
     if (!r.ok() || r.remaining() != 0)
         return api::Status::dataLoss("malformed trial body");
@@ -258,10 +244,7 @@ Client::save(const std::string &tenant)
     Request request;
     request.op = Op::Save;
     request.tenant = tenant;
-    api::Result<Response> response = roundTrip(request);
-    if (!response.ok())
-        return response.status();
-    return response->status();
+    return call(request).status();
 }
 
 } // namespace daemon

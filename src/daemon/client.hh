@@ -82,6 +82,12 @@ class Client
     api::Result<Response> readResponse();
 
   private:
+    /**
+     * roundTrip, then the response's status: the body on OK, else
+     * the transport or wire failure.
+     */
+    api::Result<std::vector<uint8_t>> call(const Request &request);
+
     int fd_ = -1;
     std::vector<uint8_t> readBuf_;
 };

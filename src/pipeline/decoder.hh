@@ -61,7 +61,8 @@ struct DecodeStats
 
 /**
  * Optional per-cluster telemetry of one decode pass — the measure
- * half of the durability loop (Store::health / Store::scrub). Filled
+ * half of the durability loop (Store::health / Store::scrub), and the
+ * element of HealthReport::perCluster (pipeline/health.hh). Filled
  * only when a probe is passed to decode(): the agreement computation
  * costs one edit-distance per read, which the hot paths skip.
  */

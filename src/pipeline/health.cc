@@ -1,10 +1,9 @@
-#include "api/health.hh"
+#include "pipeline/health.hh"
 
 #include <cstdio>
 #include <sstream>
 
 namespace dnastore {
-namespace api {
 
 namespace {
 
@@ -54,7 +53,7 @@ HealthReport::toJson(bool detail) const
     if (detail) {
         out << ",\n  \"per_cluster\": [\n";
         for (size_t c = 0; c < perCluster.size(); ++c) {
-            const ClusterHealthEntry &e = perCluster[c];
+            const ClusterProbe &e = perCluster[c];
             out << "    {\"reads\": " << e.reads
                 << ", \"index_ok\": " << fmtBool(e.indexOk)
                 << ", \"claimed\": " << fmtBool(e.claimed)
@@ -64,7 +63,7 @@ HealthReport::toJson(bool detail) const
         }
         out << "  ],\n  \"per_codeword\": [\n";
         for (size_t j = 0; j < perCodeword.size(); ++j) {
-            const CodewordHealthEntry &e = perCodeword[j];
+            const CodewordHealth &e = perCodeword[j];
             out << "    {\"ok\": " << fmtBool(e.ok)
                 << ", \"errors_corrected\": " << e.errorsCorrected
                 << ", \"erasures_corrected\": " << e.erasuresCorrected
@@ -93,5 +92,4 @@ ScrubReport::toJson() const
     return out.str();
 }
 
-} // namespace api
 } // namespace dnastore

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 #include "channel/aging.hh"
 #include "util/parallel.hh"
@@ -17,6 +18,22 @@ namespace {
 constexpr uint64_t kAgingMix = 0xbf58476d1ce4e5b9ULL;
 constexpr uint64_t kScrubMix = 0x94d049bb133111ebULL;
 constexpr uint64_t kAgingTrialMix = 0xda942042e4dd58b5ULL;
+
+/**
+ * Fraction of @p stored recovered wrong in @p raw (missing trailing
+ * bytes count as wrong); 0.0 on exact recovery.
+ */
+double
+byteErrorRate(const std::vector<uint8_t> &stored,
+              const std::vector<uint8_t> &raw)
+{
+    size_t bad = 0;
+    for (size_t i = 0; i < stored.size(); ++i) {
+        if (i >= raw.size() || raw[i] != stored[i])
+            ++bad;
+    }
+    return stored.empty() ? 0.0 : double(bad) / double(stored.size());
+}
 
 } // namespace
 
@@ -96,17 +113,25 @@ StorageSimulator::restore(const FileBundle &bundle,
 }
 
 RetrievalResult
-StorageSimulator::decodeBatch(
-    const ReadBatch &batch, size_t coverage_label,
-    const std::vector<size_t> &forced_erasures) const
+StorageSimulator::retrievalOf(size_t coverage_label,
+                              DecodedUnit decoded) const
 {
     RetrievalResult result;
     result.coverage = coverage_label;
-    result.decoded = decoder_.decode(batch, forced_erasures);
+    result.decoded = std::move(decoded);
     const auto &raw = result.decoded.rawStream;
     result.exactPayload = raw.size() >= stored_.size() &&
         std::equal(stored_.begin(), stored_.end(), raw.begin());
     return result;
+}
+
+RetrievalResult
+StorageSimulator::decodeBatch(
+    const ReadBatch &batch, size_t coverage_label,
+    const std::vector<size_t> &forced_erasures) const
+{
+    return retrievalOf(coverage_label,
+                       decoder_.decode(batch, forced_erasures));
 }
 
 RetrievalResult
@@ -184,11 +209,7 @@ StorageSimulator::decodeClusteredBatch(const ReadBatch &batch,
     ClusteredRetrievalResult out;
     out.clustersFound = clustering.count();
     out.quality = scoreClustering(clustering, truth);
-    out.result.coverage = coverage_label;
-    out.result.decoded = decoder_.decode(clusters);
-    const auto &raw = out.result.decoded.rawStream;
-    out.result.exactPayload = raw.size() >= stored_.size() &&
-        std::equal(stored_.begin(), stored_.end(), raw.begin());
+    out.result = retrievalOf(coverage_label, decoder_.decode(clusters));
     return out;
 }
 
@@ -249,14 +270,8 @@ StorageSimulator::runTrial(const CoverageModel &coverage,
         out.result = decodeBatch(batch, label, {});
     }
 
-    const auto &raw = out.result.decoded.rawStream;
-    size_t bad = 0;
-    for (size_t i = 0; i < stored_.size(); ++i) {
-        if (i >= raw.size() || raw[i] != stored_[i])
-            ++bad;
-    }
     out.byteErrorRate =
-        stored_.empty() ? 0.0 : double(bad) / double(stored_.size());
+        byteErrorRate(stored_, out.result.decoded.rawStream);
     return out;
 }
 
@@ -280,7 +295,7 @@ StorageSimulator::age(size_t epochs)
     return lost;
 }
 
-UnitHealth
+HealthReport
 StorageSimulator::probeHealth() const
 {
     if (!pool_)
@@ -288,15 +303,22 @@ StorageSimulator::probeHealth() const
     return probePool(*pool_);
 }
 
-UnitHealth
-StorageSimulator::probePool(const ReadPool &pool) const
+DecodedUnit
+StorageSimulator::probeDecode(const ReadPool &pool,
+                              DecodeProbe &probe) const
 {
     ReadBatch batch;
     pool.fillBatch(pool.maxCoverage(), batch);
-    DecodeProbe probe;
-    DecodedUnit decoded = decoder_.decode(batch, {}, &probe);
+    return decoder_.decode(batch, {}, &probe);
+}
 
-    UnitHealth health;
+HealthReport
+StorageSimulator::probePool(const ReadPool &pool) const
+{
+    DecodeProbe probe;
+    DecodedUnit decoded = probeDecode(pool, probe);
+
+    HealthReport health;
     health.clusters = pool.clusters();
     health.poolCoverage = pool.maxCoverage();
     health.agedEpochs = agedEpochs_;
@@ -305,18 +327,11 @@ StorageSimulator::probePool(const ReadPool &pool) const
     health.failedCodewords = decoded.stats.failedCodewords;
     health.exact = decoded.exact;
 
-    health.perCluster.resize(probe.clusters.size());
+    health.perCluster = std::move(probe.clusters);
     double agreement_sum = 0.0;
     double agreement_min = 1.0;
     size_t live_clusters = 0;
-    for (size_t c = 0; c < probe.clusters.size(); ++c) {
-        const ClusterProbe &p = probe.clusters[c];
-        ClusterHealth &h = health.perCluster[c];
-        h.reads = p.reads;
-        h.indexOk = p.indexOk;
-        h.claimed = p.claimed;
-        h.column = p.column;
-        h.agreement = p.agreement;
+    for (const ClusterProbe &p : health.perCluster) {
         health.liveReads += p.reads;
         if (p.reads == 0) {
             ++health.emptyClusters;
@@ -347,8 +362,8 @@ StorageSimulator::probePool(const ReadPool &pool) const
     return health;
 }
 
-PoolScrubReport
-StorageSimulator::scrub(const ScrubPolicy &policy)
+ScrubReport
+StorageSimulator::scrub(const ScrubOptions &policy)
 {
     if (!pool_)
         throw std::logic_error("StorageSimulator: store() first");
@@ -358,17 +373,15 @@ StorageSimulator::scrub(const ScrubPolicy &policy)
     return scrubPool(*pool_, policy, scrub_seed);
 }
 
-PoolScrubReport
-StorageSimulator::scrubPool(ReadPool &pool, const ScrubPolicy &policy,
+ScrubReport
+StorageSimulator::scrubPool(ReadPool &pool, const ScrubOptions &policy,
                             uint64_t scrub_seed) const
 {
     // Measure: one full-depth probe decode.
-    ReadBatch batch;
-    pool.fillBatch(pool.maxCoverage(), batch);
     DecodeProbe probe;
-    DecodedUnit decoded = decoder_.decode(batch, {}, &probe);
+    DecodedUnit decoded = probeDecode(pool, probe);
 
-    PoolScrubReport report;
+    ScrubReport report;
     report.clustersScanned = pool.clusters();
     report.failedCodewords = decoded.stats.failedCodewords;
 
@@ -443,7 +456,7 @@ StorageSimulator::scrubPool(ReadPool &pool, const ScrubPolicy &policy,
 AgingTrialOutcome
 StorageSimulator::runAgingTrial(size_t coverage, uint64_t trial_seed,
                                 size_t epochs, bool scrub_each_epoch,
-                                const ScrubPolicy &policy) const
+                                const ScrubOptions &policy) const
 {
     if (unit_.strands.empty())
         throw std::logic_error(
@@ -462,7 +475,7 @@ StorageSimulator::runAgingTrial(size_t coverage, uint64_t trial_seed,
     for (size_t e = 0; e < epochs; ++e) {
         out.readsLost += agePoolEpoch(local, aging, rng.next(), 1);
         if (scrub_each_epoch) {
-            PoolScrubReport rep = scrubPool(local, policy, rng.next());
+            ScrubReport rep = scrubPool(local, policy, rng.next());
             out.repaired += rep.repaired;
             if (!rep.repairable)
                 ++out.unrepairableEpochs;
@@ -470,15 +483,8 @@ StorageSimulator::runAgingTrial(size_t coverage, uint64_t trial_seed,
         local.fillBatch(coverage, batch);
         RetrievalResult result = decodeBatch(batch, coverage, {});
         out.epochSuccess.push_back(result.exactPayload ? 1 : 0);
-        const auto &raw = result.decoded.rawStream;
-        size_t bad = 0;
-        for (size_t i = 0; i < stored_.size(); ++i) {
-            if (i >= raw.size() || raw[i] != stored_[i])
-                ++bad;
-        }
         out.epochByteErrorRate.push_back(
-            stored_.empty() ? 0.0
-                            : double(bad) / double(stored_.size()));
+            byteErrorRate(stored_, result.decoded.rawStream));
     }
     return out;
 }

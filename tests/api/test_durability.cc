@@ -116,6 +116,51 @@ TEST(StoreHealth, JsonIsDeterministicAndDetailGated)
     EXPECT_NE(summary.find("\"min_margin\""), std::string::npos);
 }
 
+// The exact bytes of the health and scrub JSON for one fixed aged
+// store: the renderings are a byte-identity contract (CLI --json,
+// the daemon's Health/Scrub bodies), so a change to a record or its
+// toJson() must not move a single character.
+TEST(StoreHealth, GoldenHealthAndScrubJson)
+{
+    Store store = openAging(decayProfile());
+    ASSERT_TRUE(store.put("a.bin", patternBytes(600, 12)).ok());
+    ASSERT_TRUE(store.age(1).ok());
+
+    Result<HealthReport> health = store.health();
+    ASSERT_TRUE(health.ok()) << health.status().toString();
+    EXPECT_EQ(health->perCluster.size(), health->clusters);
+    EXPECT_EQ(health->toJson(false),
+              "{\n"
+              "  \"clusters\": 255,\n"
+              "  \"live_reads\": 1527,\n"
+              "  \"pool_coverage\": 8,\n"
+              "  \"empty_clusters\": 0,\n"
+              "  \"index_faults\": 0,\n"
+              "  \"erased_columns\": 0,\n"
+              "  \"failed_codewords\": 0,\n"
+              "  \"aged_epochs\": 1,\n"
+              "  \"exact\": true,\n"
+              "  \"mean_agreement\": 0.977390486399,\n"
+              "  \"min_agreement\": 0.958523592085,\n"
+              "  \"min_margin\": 45\n"
+              "}\n");
+
+    ScrubOptions policy;
+    policy.minReads = 6;
+    Result<ScrubReport> scrub = store.scrub(policy);
+    ASSERT_TRUE(scrub.ok()) << scrub.status().toString();
+    EXPECT_EQ(scrub->toJson(),
+              "{\n"
+              "  \"clusters_scanned\": 255,\n"
+              "  \"low_margin\": 79,\n"
+              "  \"repaired\": 79,\n"
+              "  \"unrepairable\": 0,\n"
+              "  \"failed_codewords\": 0,\n"
+              "  \"reads_rewritten\": 632,\n"
+              "  \"repairable\": true\n"
+              "}\n");
+}
+
 TEST(StoreAge, WithoutAgingProfileIsFailedPrecondition)
 {
     Store store = openPlain();

@@ -408,6 +408,30 @@ clusterOptionsFor(const CliOptions &opt)
     return cluster;
 }
 
+/** The scrub policy of --min-reads/--min-agreement/--repair-all. */
+api::ScrubOptions
+scrubOptionsFor(const CliOptions &opt)
+{
+    api::ScrubOptions scrub;
+    scrub.minReads = opt.scrubMinReads;
+    scrub.minAgreement = opt.scrubMinAgreement;
+    scrub.repairAll = opt.scrubRepairAll;
+    return scrub;
+}
+
+/** The store `simulate` and `pack` encode into. */
+api::StoreOptions
+storeOptionsFor(const CliOptions &opt)
+{
+    api::StoreOptions store;
+    store.autoGeometry(true)
+        .layout(opt.scheme)
+        .threads(opt.threads)
+        .packedReadPools(opt.packedPools)
+        .unitSeed(20220618);
+    return store;
+}
+
 /** Read the inputs into the store; false (with message) on failure. */
 bool
 putInputs(api::Store &store, const CliOptions &opt, int *exit_code)
@@ -647,17 +671,11 @@ int
 cmdSimulate(const CliOptions &opt)
 {
     api::ChannelOptions chan = channelOptionsFor(opt);
-    api::StoreOptions store_opt;
-    store_opt.autoGeometry(true)
-        .layout(opt.scheme)
-        .threads(opt.threads)
-        .packedReadPools(opt.packedPools)
-        .unitSeed(20220618);
     // --from-pool reopens a packed store (read-only: simulate never
     // mutates it) instead of encoding fresh inputs; the file supplies
     // the geometry, scheme, objects, and default coverage.
     api::Result<api::Store> store = opt.fromPool.empty()
-        ? api::Store::open(store_opt, chan)
+        ? api::Store::open(storeOptionsFor(opt), chan)
         : openPoolStore(opt, opt.fromPool);
     if (!store.ok()) {
         printStatus(store.status());
@@ -695,13 +713,8 @@ int
 cmdPack(const CliOptions &opt)
 {
     api::ChannelOptions chan = channelOptionsFor(opt);
-    api::StoreOptions store_opt;
-    store_opt.autoGeometry(true)
-        .layout(opt.scheme)
-        .threads(opt.threads)
-        .packedReadPools(opt.packedPools)
-        .unitSeed(20220618);
-    api::Result<api::Store> store = api::Store::open(store_opt, chan);
+    api::Result<api::Store> store =
+        api::Store::open(storeOptionsFor(opt), chan);
     if (!store.ok()) {
         printStatus(store.status());
         return statusExit(store.status());
@@ -900,11 +913,8 @@ cmdScrub(const CliOptions &opt)
         std::fprintf(stderr, "aged %zu epochs: %zu reads lost\n",
                      opt.ageEpochs, *lost);
     }
-    api::ScrubOptions scrub_opt;
-    scrub_opt.minReads = opt.scrubMinReads;
-    scrub_opt.minAgreement = opt.scrubMinAgreement;
-    scrub_opt.repairAll = opt.scrubRepairAll;
-    api::Result<api::ScrubReport> report = store->scrub(scrub_opt);
+    api::Result<api::ScrubReport> report =
+        store->scrub(scrubOptionsFor(opt));
     if (!report.ok()) {
         // Unavailable (selected clusters exist but the probe decode
         // could not recover every codeword) maps to the runtime exit:
@@ -1102,12 +1112,8 @@ cmdClient(const CliOptions &opt)
         return emitJson(*json, opt.jsonPath);
     }
     if (op == "scrub") {
-        api::ScrubOptions scrub_opt;
-        scrub_opt.minReads = opt.scrubMinReads;
-        scrub_opt.minAgreement = opt.scrubMinAgreement;
-        scrub_opt.repairAll = opt.scrubRepairAll;
         api::Result<std::string> json =
-            client.scrub(opt.tenant, scrub_opt);
+            client.scrub(opt.tenant, scrubOptionsFor(opt));
         if (!json.ok()) {
             printStatus(json.status());
             return statusExit(json.status());
