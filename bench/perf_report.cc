@@ -238,6 +238,12 @@ collect(std::vector<BenchResult> &results, const Options &opt)
             for (size_t e = 0; e < 10; ++e)
                 noisy10[r2.nextBelow(noisy10.size())] ^= 1;
         }
+        // Syndromes alone at archive-roundtrip's operating point,
+        // where every codeword carries a few errors.
+        add("rs_syndromes_err10_m10", [&rs, &noisy10]() {
+            g_sink ^= uint64_t(rs.isCodeword(noisy10));
+        });
+
         std::vector<uint32_t> work;
         add("rs_decode_err10_m10", [&rs, &noisy10, &work]() {
             work = noisy10;

@@ -1,5 +1,6 @@
 #include "api/pool_file.hh"
 
+#include <array>
 #include <cstdio>
 #include <cstring>
 #include <stdexcept>
@@ -20,21 +21,34 @@ namespace {
 const char kMagic[8] = { 'D', 'N', 'A', 'P', 'O', 'O', 'L', '\0' };
 constexpr size_t kHeaderBytes = 20;
 
-/** Two-bit pack a strand after a u32 length prefix. */
+/** Two-bit pack a strand after a u32 length prefix, 4 bases a byte. */
 void
 writeStrand(ByteWriter &w, const Strand &s)
 {
-    w.u32(uint32_t(s.size()));
-    uint8_t packed = 0;
-    for (size_t i = 0; i < s.size(); ++i) {
-        packed |= uint8_t(bitsFromBase(s[i]) << (2 * (i % 4)));
-        if (i % 4 == 3) {
-            w.u8(packed);
-            packed = 0;
+    const size_t len = s.size();
+    w.u32(uint32_t(len));
+    uint8_t *out = w.extend((len + 3) / 4);
+    const auto *b = reinterpret_cast<const uint8_t *>(s.data());
+    const size_t full = len / 4;
+    for (size_t i = 0; i < full; ++i, b += 4)
+        out[i] = uint8_t(b[0] | b[1] << 2 | b[2] << 4 | b[3] << 6);
+    for (size_t i = 0; i < len % 4; ++i)
+        out[full] |= uint8_t(b[i] << (2 * i));
+}
+
+/** The four bases each packed byte holds, lowest bit pair first. */
+const std::array<std::array<Base, 4>, 256> &
+unpackTable()
+{
+    static const auto table = [] {
+        std::array<std::array<Base, 4>, 256> t{};
+        for (unsigned v = 0; v < 256; ++v) {
+            for (unsigned i = 0; i < 4; ++i)
+                t[v][i] = baseFromBits(v >> (2 * i));
         }
-    }
-    if (s.size() % 4 != 0)
-        w.u8(packed);
+        return t;
+    }();
+    return table;
 }
 
 /** Inverse of writeStrand; false when the reader underflows. */
@@ -42,24 +56,23 @@ bool
 readStrand(ByteReader &r, Strand &out)
 {
     const uint32_t len = r.u32();
-    const size_t packed_len = (size_t(len) + 3) / 4;
-    if (!r.ok() || packed_len > r.remaining())
+    const uint8_t *packed = r.view((size_t(len) + 3) / 4);
+    if (!r.ok())
         return false;
-    out.clear();
-    out.reserve(len);
-    uint8_t packed = 0;
-    for (size_t i = 0; i < len; ++i) {
-        if (i % 4 == 0)
-            packed = r.u8();
-        out.push_back(baseFromBits(packed >> (2 * (i % 4))));
-    }
-    return r.ok();
+    const auto &table = unpackTable();
+    out.resize(len);
+    Base *b = out.data();
+    const size_t full = len / 4;
+    for (size_t i = 0; i < full; ++i, b += 4)
+        std::memcpy(b, table[packed[i]].data(), 4);
+    if (len % 4 != 0)
+        std::memcpy(b, table[packed[full]].data(), len % 4);
+    return true;
 }
 
-std::vector<uint8_t>
-configPayload(const PoolFileContents &c)
+void
+writeConfig(ByteWriter &w, const PoolFileContents &c)
 {
-    ByteWriter w;
     w.u32(c.config.symbolBits);
     w.u64(c.config.rows);
     w.u64(c.config.paritySymbols);
@@ -67,38 +80,32 @@ configPayload(const PoolFileContents &c)
     w.u64(c.config.primerKey);
     w.u8(uint8_t(c.scheme));
     w.u64(c.unitSeed);
-    return w.take();
 }
 
-std::vector<uint8_t>
-manifestPayload(const FileBundle &bundle)
+void
+writeManifest(ByteWriter &w, const PoolFileContents &c)
 {
-    ByteWriter w;
-    w.u32(uint32_t(bundle.fileCount()));
-    for (const auto &f : bundle.files()) {
+    w.u32(uint32_t(c.manifest.fileCount()));
+    for (const auto &f : c.manifest.files()) {
         w.u8(uint8_t(f.name.size()));
         w.str(f.name);
         w.u64(f.data.size());
         w.bytes(f.data);
     }
-    return w.take();
 }
 
-std::vector<uint8_t>
-unitPayload(const PoolFileContents &c)
+void
+writeUnit(ByteWriter &w, const PoolFileContents &c)
 {
-    ByteWriter w;
     w.u64(c.payloadBits);
     w.u64(c.strands.size());
     for (const auto &s : c.strands)
         writeStrand(w, s);
-    return w.take();
 }
 
-std::vector<uint8_t>
-poolsPayload(const PoolFileContents &c)
+void
+writePools(ByteWriter &w, const PoolFileContents &c)
 {
-    ByteWriter w;
     w.u64(c.pools.size());
     w.u64(c.poolMaxCoverage);
     // Pools may be ragged (aging loses whole reads), so each cluster
@@ -108,20 +115,22 @@ poolsPayload(const PoolFileContents &c)
         for (const auto &read : cluster)
             writeStrand(w, read);
     }
-    return w.take();
 }
 
+/**
+ * One section, written straight into @p out: id, a length patched
+ * once @p write has appended the payload, then the CRC over all three.
+ */
 void
-appendSection(ByteWriter &out, uint32_t id,
-              const std::vector<uint8_t> &payload)
+appendSection(ByteWriter &out, uint32_t id, const PoolFileContents &c,
+              void (*write)(ByteWriter &, const PoolFileContents &))
 {
-    ByteWriter body;
-    body.u32(id);
-    body.u64(payload.size());
-    body.bytes(payload);
-    const uint32_t crc = crc32(body.data());
-    out.bytes(body.data());
-    out.u32(crc);
+    const size_t begin = out.size();
+    out.u32(id);
+    out.u64(0);
+    write(out, c);
+    out.u64At(begin + 4, out.size() - begin - 12);
+    out.u32(crc32(out.data().data() + begin, out.size() - begin));
 }
 
 Status
@@ -143,9 +152,8 @@ corrupted(const char *what)
 }
 
 Status
-parseConfig(const std::vector<uint8_t> &payload, PoolFileContents &c)
+parseConfig(ByteReader r, PoolFileContents &c)
 {
-    ByteReader r(payload);
     c.config = StorageConfig();
     c.config.symbolBits = unsigned(r.u32());
     c.config.rows = size_t(r.u64());
@@ -167,9 +175,8 @@ parseConfig(const std::vector<uint8_t> &payload, PoolFileContents &c)
 }
 
 Status
-parseManifest(const std::vector<uint8_t> &payload, PoolFileContents &c)
+parseManifest(ByteReader r, PoolFileContents &c)
 {
-    ByteReader r(payload);
     const uint32_t count = r.u32();
     c.manifest = FileBundle();
     for (uint32_t i = 0; i < count; ++i) {
@@ -191,9 +198,8 @@ parseManifest(const std::vector<uint8_t> &payload, PoolFileContents &c)
 }
 
 Status
-parseUnit(const std::vector<uint8_t> &payload, PoolFileContents &c)
+parseUnit(ByteReader r, PoolFileContents &c)
 {
-    ByteReader r(payload);
     c.payloadBits = size_t(r.u64());
     const uint64_t strand_count = r.u64();
     if (!r.ok() || strand_count > r.remaining())
@@ -209,9 +215,8 @@ parseUnit(const std::vector<uint8_t> &payload, PoolFileContents &c)
 }
 
 Status
-parsePools(const std::vector<uint8_t> &payload, PoolFileContents &c)
+parsePools(ByteReader r, PoolFileContents &c)
 {
-    ByteReader r(payload);
     const uint64_t cluster_count = r.u64();
     const uint64_t max_coverage = r.u64();
     if (!r.ok() || cluster_count > r.remaining() ||
@@ -328,12 +333,11 @@ serializePoolFile(const PoolFileContents &contents)
 
     ByteWriter out;
     out.bytes(header.data());
-    appendSection(out, kSectionConfig, configPayload(contents));
-    appendSection(out, kSectionManifest,
-                  manifestPayload(contents.manifest));
-    appendSection(out, kSectionUnit, unitPayload(contents));
+    appendSection(out, kSectionConfig, contents, writeConfig);
+    appendSection(out, kSectionManifest, contents, writeManifest);
+    appendSection(out, kSectionUnit, contents, writeUnit);
     if (contents.hasPools)
-        appendSection(out, kSectionPools, poolsPayload(contents));
+        appendSection(out, kSectionPools, contents, writePools);
     return out.take();
 }
 
@@ -358,9 +362,8 @@ parsePoolFile(const std::vector<uint8_t> &bytes)
         }
         // CRC already verified by walkSections; payload starts after
         // the 12-byte id+length prefix and stops before the CRC.
-        const std::vector<uint8_t> payload(
-            bytes.begin() + long(s.begin) + 12,
-            bytes.begin() + long(s.end) - 4);
+        const ByteReader payload(bytes.data() + s.begin + 12,
+                                 s.end - s.begin - 16);
         switch (s.id) {
         case kSectionConfig:
             status = parseConfig(payload, out);

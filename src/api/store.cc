@@ -74,6 +74,23 @@ mapRetrieval(const RetrievalResult &result)
     return out;
 }
 
+/**
+ * The one gate on a scrub policy, for scrub(), ScrubJob and a
+ * TrialJob's per-epoch scrubs. ScrubOptions is a plain struct (no
+ * builder), so the non-finite check lives here: a NaN minAgreement
+ * would make every `agreement < minAgreement` comparison false and
+ * silently turn the policy into a no-op.
+ */
+Status
+checkScrubOptions(const ScrubOptions &options)
+{
+    if (!std::isfinite(options.minAgreement))
+        return Status::invalidArgument(formatMessage(
+            "scrub min-agreement must be finite (got %g)",
+            options.minAgreement));
+    return Status();
+}
+
 Status
 noObjectNamed(const std::string &name)
 {
@@ -282,14 +299,8 @@ struct Store::Rep
             return Status::failedPrecondition(
                 "the store was opened read-only; scrub is not "
                 "available");
-        // ScrubOptions is a plain struct (no builder), so the
-        // non-finite gate lives here: a NaN minAgreement would make
-        // every `agreement < minAgreement` comparison false and
-        // silently turn the policy into a no-op.
-        if (!std::isfinite(options.minAgreement))
-            return Status::invalidArgument(formatMessage(
-                "scrub min-agreement must be finite (got %g)",
-                options.minAgreement));
+        if (Status status = checkScrubOptions(options); !status.ok())
+            return status;
         if (Status status = ensureSynthesized(); !status.ok())
             return status;
         return ScrubTask([sim = sim, generation = generation,
@@ -908,6 +919,10 @@ Store::submit(const TrialJob &job)
             return readyFuture<TrialSeries>(Status::failedPrecondition(
                 "TrialJob.agingEpochs needs an aging profile on the "
                 "store's channel (ChannelOptions::aging)"));
+    }
+    if (job.scrubEachEpoch) {
+        if (Status status = checkScrubOptions(job.scrub); !status.ok())
+            return readyFuture<TrialSeries>(std::move(status));
     }
     // Encoding happens on the submitting thread so concurrent jobs
     // only ever touch the simulator through const trial paths.

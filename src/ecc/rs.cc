@@ -41,8 +41,9 @@ polyMulInto(const GaloisField &gf, const std::vector<uint32_t> &a,
  * fused Horner loop: the multiplier's log is hoisted so each step is
  * one log and one antilog lookup.
  */
+template <typename Coeff>
 uint32_t
-polyEvalAt(const GaloisField &gf, const uint32_t *p, size_t len,
+polyEvalAt(const GaloisField &gf, const Coeff *p, size_t len,
            uint32_t x)
 {
     const uint16_t *lg = gf.logData();
@@ -54,10 +55,71 @@ polyEvalAt(const GaloisField &gf, const uint32_t *p, size_t len,
     return acc;
 }
 
+/** The scratch behind the overloads that take none. */
+RsScratch &
+threadScratch()
+{
+    static thread_local RsScratch scratch;
+    return scratch;
+}
+
+/**
+ * One LFSR step's table rows for every nibble of the feedback,
+ * XORed into the shifted remainder. B, the nibble count, is a
+ * template parameter so the row loop is unrolled and the XOR loop
+ * over @p e coefficients vectorises.
+ */
+template <unsigned B>
+void
+xorRows(uint16_t *__restrict dst, const uint16_t *__restrict rows,
+        size_t e, uint32_t f)
+{
+    // Rows of nibbles the code does not have alias r0 and are unread.
+    const uint16_t *__restrict r0 = rows + size_t(f & 15u) * e;
+    const uint16_t *__restrict r1 =
+        B > 1 ? rows + (16 + size_t((f >> 4) & 15u)) * e : r0;
+    const uint16_t *__restrict r2 =
+        B > 2 ? rows + (32 + size_t((f >> 8) & 15u)) * e : r0;
+    const uint16_t *__restrict r3 =
+        B > 3 ? rows + (48 + size_t((f >> 12) & 15u)) * e : r0;
+    for (size_t j = 0; j < e; ++j) {
+        uint16_t x = r0[j];
+        if constexpr (B > 1)
+            x ^= r1[j];
+        if constexpr (B > 2)
+            x ^= r2[j];
+        if constexpr (B > 3)
+            x ^= r3[j];
+        dst[j] ^= x;
+    }
+}
+
+/**
+ * Divide the k symbols at @p data (high order first) times x^E by
+ * g(x). The remainder window starts at buf + k and moves down one
+ * slot per step, so the shift is a pointer decrement; the slot it
+ * moves onto was zeroed up front and never written since. After k
+ * steps the remainder is buf[0, e).
+ */
+template <unsigned B>
+void
+lfsrRemainder(const uint16_t *rows, size_t e, const uint32_t *data,
+              size_t k, uint16_t *buf)
+{
+    uint16_t *rem = buf + k;
+    for (size_t i = k; i-- > 0;) {
+        const uint32_t f = data[i] ^ rem[e - 1];
+        --rem;
+        if (f != 0)
+            xorRows<B>(rem, rows, e, f);
+    }
+}
+
 } // namespace
 
 ReedSolomon::ReedSolomon(const GaloisField &gf, size_t n_par)
-    : gf_(gf), n_(gf.order()), nPar_(n_par)
+    : gf_(gf), n_(gf.order()), nPar_(n_par),
+      nibbles_((gf.degree() + 3) / 4)
 {
     if (n_par == 0 || n_par >= n_)
         throw std::invalid_argument("ReedSolomon: bad parity count");
@@ -65,14 +127,45 @@ ReedSolomon::ReedSolomon(const GaloisField &gf, size_t n_par)
     // Generator g(x) = prod_{i=1}^{E} (x - alpha^i); roots at
     // alpha^1 .. alpha^E so the Forney formula needs no position
     // exponent correction (fcr = 1).
-    generator_ = { 1 };
+    std::vector<uint32_t> generator = { 1 };
     for (size_t i = 1; i <= nPar_; ++i)
-        generator_ = polyMul(gf_, generator_, { gf_.alphaPow(i), 1 });
+        generator = polyMul(gf_, generator, { gf_.alphaPow(i), 1 });
 
-    genLog_.resize(generator_.size());
-    for (size_t i = 0; i < generator_.size(); ++i)
-        genLog_[i] = generator_[i]
-            ? int32_t(gf_.logOf(generator_[i])) : -1;
+    // Nibble tables: row (b, v) is g_j * (v << 4b) for j < E. Values
+    // past the field's top bit stay zero; symbols never reach them.
+    rows_.assign(size_t(nibbles_) * 16 * nPar_, 0);
+    for (unsigned b = 0; b < nibbles_; ++b) {
+        for (uint32_t v = 1; v < 16; ++v) {
+            const uint32_t x = v << (4 * b);
+            if (x >= gf_.size())
+                break;
+            uint16_t *row = rows_.data() + (size_t(b) * 16 + v) * nPar_;
+            for (size_t j = 0; j < nPar_; ++j)
+                row[j] = uint16_t(gf_.mul(generator[j], x));
+        }
+    }
+}
+
+void
+ReedSolomon::remainderInto(const uint32_t *data,
+                           std::vector<uint16_t> &lfsr) const
+{
+    const size_t kk = k();
+    lfsr.assign(kk + nPar_, 0);
+    switch (nibbles_) {
+    case 1:
+        lfsrRemainder<1>(rows_.data(), nPar_, data, kk, lfsr.data());
+        break;
+    case 2:
+        lfsrRemainder<2>(rows_.data(), nPar_, data, kk, lfsr.data());
+        break;
+    case 3:
+        lfsrRemainder<3>(rows_.data(), nPar_, data, kk, lfsr.data());
+        break;
+    default:
+        lfsrRemainder<4>(rows_.data(), nPar_, data, kk, lfsr.data());
+        break;
+    }
 }
 
 std::vector<uint32_t>
@@ -81,60 +174,45 @@ ReedSolomon::encode(const std::vector<uint32_t> &data) const
     if (data.size() != k())
         throw std::invalid_argument("ReedSolomon: data size != k");
 
-    const uint16_t *lg = gf_.logData();
-    const uint16_t *ex = gf_.expData();
-
-    // Systematic encoding: remainder of data * x^E divided by g(x).
-    // Work with the data high-order first for the long division; the
-    // feedback log is hoisted so each tap is a single antilog lookup.
-    std::vector<uint32_t> rem(nPar_, 0);
-    for (size_t i = data.size(); i-- > 0;) {
-        uint32_t feedback = data[i] ^ rem[nPar_ - 1];
-        if (feedback) {
-            const uint32_t lf = lg[feedback];
-            for (size_t j = nPar_; j-- > 1;) {
-                rem[j] = rem[j - 1] ^
-                    (genLog_[j] >= 0 ? ex[lf + uint32_t(genLog_[j])]
-                                     : 0);
-            }
-            rem[0] =
-                genLog_[0] >= 0 ? ex[lf + uint32_t(genLog_[0])] : 0;
-        } else {
-            for (size_t j = nPar_; j-- > 1;)
-                rem[j] = rem[j - 1];
-            rem[0] = 0;
-        }
-    }
-
-    std::vector<uint32_t> codeword;
-    codeword.reserve(n_);
-    codeword.insert(codeword.end(), data.begin(), data.end());
+    // Systematic encoding: the parity is the remainder of
+    // data * x^E divided by g(x).
+    std::vector<uint16_t> &rem = threadScratch().lfsr;
+    remainderInto(data.data(), rem);
+    std::vector<uint32_t> codeword(n_);
+    std::copy(data.begin(), data.end(), codeword.begin());
     // Parity symbols: codeword positions k..n-1.
-    for (size_t j = 0; j < nPar_; ++j)
-        codeword.push_back(rem[j]);
+    std::copy(rem.begin(), rem.begin() + long(nPar_),
+              codeword.begin() + long(k()));
     return codeword;
 }
 
 void
-ReedSolomon::syndromesInto(const uint32_t *cw,
-                           std::vector<uint32_t> &syn) const
+ReedSolomon::syndromesInto(const uint32_t *cw, RsScratch &s) const
 {
-    // The codeword polynomial c(x) maps position i to the coefficient
-    // of x^i; we store data at positions [0, k) and parity at [k, n).
-    // Encoding guarantees c(alpha^j) = 0 for j = 1..E when the
-    // codeword polynomial is data * x^E + parity, i.e., coefficient
-    // order (parity low, data high). Build syndromes accordingly,
-    // Horner high-to-low with the evaluation points' logs hoisted.
-    //
-    // Each Horner chain is a dependent load-add-load sequence, so a
-    // single chain is latency-bound; syndromes are independent, so
-    // running kLanes chains through one pass over the coefficients
-    // hides that latency and reads the codeword once per block
-    // instead of once per syndrome.
+    // The codeword polynomial maps data position i to degree E + i
+    // and parity position k + j to degree j. Its remainder mod g(x)
+    // is the data part's remainder plus the received parity, and
+    // S_j = r(alpha^j) = R(alpha^j) because alpha^j is a root of g.
+    const size_t kk = k();
+    remainderInto(cw, s.lfsr);
+    uint16_t *rem = s.lfsr.data();
+    uint32_t any = 0;
+    for (size_t j = 0; j < nPar_; ++j) {
+        rem[j] = uint16_t(rem[j] ^ cw[kk + j]);
+        any |= rem[j];
+    }
+    if (any == 0) {
+        s.syn.assign(nPar_, 0);
+        return;
+    }
+
+    // Horner high-to-low over R's E coefficients, the evaluation
+    // points' logs hoisted. Each chain is a dependent load-add-load
+    // sequence, so a single chain is latency-bound; syndromes are
+    // independent, so kLanes chains run through one pass over R.
     const uint16_t *lg = gf_.logData();
     const uint16_t *ex = gf_.expData();
-    const size_t kk = k();
-    syn.resize(nPar_);
+    s.syn.resize(nPar_);
 
     constexpr size_t kLanes = 8;
     uint32_t acc[kLanes];
@@ -144,37 +222,26 @@ ReedSolomon::syndromesInto(const uint32_t *cw,
             acc[l] = 0;
         // log of alpha^(j+1+l) is j+1+l (< n since j+l+1 <= E < n).
         const uint32_t la = uint32_t(j + 1);
-        auto step = [&](uint32_t c) {
+        for (size_t i = nPar_; i-- > 0;) {
+            const uint32_t c = rem[i];
             for (size_t l = 0; l < kLanes; ++l) {
                 uint32_t a = acc[l];
                 acc[l] = (a ? ex[lg[a] + la + uint32_t(l)] : 0) ^ c;
             }
-        };
-        for (size_t i = kk; i-- > 0;)
-            step(cw[i]);
-        for (size_t i = n_; i-- > kk;)
-            step(cw[i]);
+        }
         for (size_t l = 0; l < kLanes; ++l)
-            syn[j + l] = acc[l];
+            s.syn[j + l] = acc[l];
     }
     // Scalar tail for the last nPar_ % kLanes syndromes.
-    for (; j < nPar_; ++j) {
-        const uint32_t la = uint32_t(j + 1);
-        uint32_t a = 0;
-        for (size_t i = kk; i-- > 0;)
-            a = (a ? ex[lg[a] + la] : 0) ^ cw[i];
-        for (size_t i = n_; i-- > kk;)
-            a = (a ? ex[lg[a] + la] : 0) ^ cw[i];
-        syn[j] = a;
-    }
+    for (; j < nPar_; ++j)
+        s.syn[j] = polyEvalAt(gf_, rem, nPar_, gf_.alphaPow(j + 1));
 }
 
 RsDecodeResult
 ReedSolomon::decode(std::vector<uint32_t> &codeword,
                     const std::vector<size_t> &erasures) const
 {
-    static thread_local RsScratch scratch;
-    return decode(codeword, erasures, scratch);
+    return decode(codeword, erasures, threadScratch());
 }
 
 RsDecodeResult
@@ -207,7 +274,7 @@ ReedSolomon::decode(std::vector<uint32_t> &codeword,
     // case at realistic coverage — returns without copying anything.
     bool all_zero;
     if (erasures.empty()) {
-        syndromesInto(codeword.data(), s.syn);
+        syndromesInto(codeword.data(), s);
         all_zero = std::all_of(s.syn.begin(), s.syn.end(),
                                [](uint32_t v) { return v == 0; });
         if (all_zero) {
@@ -221,7 +288,7 @@ ReedSolomon::decode(std::vector<uint32_t> &codeword,
         s.work = codeword;
         for (size_t pos : erasures)
             s.work[pos] = 0;
-        syndromesInto(s.work.data(), s.syn);
+        syndromesInto(s.work.data(), s);
         all_zero = std::all_of(s.syn.begin(), s.syn.end(),
                                [](uint32_t v) { return v == 0; });
         if (all_zero) {
@@ -403,9 +470,9 @@ ReedSolomon::isCodeword(const std::vector<uint32_t> &codeword) const
 {
     if (codeword.size() != n_)
         return false;
-    static thread_local std::vector<uint32_t> syn;
-    syndromesInto(codeword.data(), syn);
-    return std::all_of(syn.begin(), syn.end(),
+    RsScratch &s = threadScratch();
+    syndromesInto(codeword.data(), s);
+    return std::all_of(s.syn.begin(), s.syn.end(),
                        [](uint32_t v) { return v == 0; });
 }
 

@@ -8,13 +8,26 @@
  * symbols; the decoder corrects up to E erasures, or up to E/2 errors,
  * or any mix with (2 * errors + erasures) <= E.
  *
- * Decoding is classical: syndromes, erasure-modified Berlekamp-Massey,
- * Chien search, Forney's algorithm. The hot path is engineered for the
- * simulator's realistic operating point, where most received codewords
- * are clean or erasure-only:
+ * Encoding and syndromes share one kernel: the systematic LFSR that
+ * divides by the generator g(x), driven by per-code nibble tables
+ * (the split-table multiply of Plank, Greenan & Miller, FAST'13).
+ * T[b][v][j] = g_j * (v << 4b) holds, for each 4-bit slice b of a
+ * symbol and each of its 16 values v, the whole row of products with
+ * the generator's coefficients; one LFSR step XORs the ceil(m/4) rows
+ * picked by the feedback's nibbles into the remainder (a contiguous,
+ * autovectorised loop) and shifts it by moving a base pointer. The
+ * tables take 32 * E * ceil(m/4) bytes: 18 KB at m = 10, E = 188.
  *
- *  - syndromes use a fused Horner loop on the raw log/antilog tables
- *    (one log and one antilog lookup per step instead of a full mul);
+ *  - encode is that remainder of data * x^E;
+ *  - syndromes reduce the received word to R(x) = r(x) mod g(x)
+ *    with the same kernel; since every alpha^j (j = 1..E) is a root
+ *    of g, S_j = R(alpha^j). A clean word has R = 0 and needs no
+ *    evaluation; otherwise R is evaluated at the E points by 8-lane
+ *    interleaved Horner chains over E coefficients, not n.
+ *
+ * Decoding is classical: syndromes, erasure-modified Berlekamp-Massey,
+ * Chien search, Forney's algorithm. Beyond the kernel:
+ *
  *  - an all-zero-syndrome early-out returns before any buffer copy;
  *  - erasure-only decodes (Berlekamp-Massey found no errors) skip the
  *    Chien search entirely — the bad positions are the erasures;
@@ -57,6 +70,7 @@ struct RsScratch
         psi, omega, psiDeriv, chien, evals;
     std::vector<size_t> badPositions;
     std::vector<uint32_t> badX;
+    std::vector<uint16_t> lfsr; //!< Remainder kernel window, k + E.
 };
 
 /**
@@ -118,15 +132,22 @@ class ReedSolomon
     const GaloisField &field() const { return gf_; }
 
   private:
-    /** Fused-Horner syndromes of @p cw (n symbols) into @p syn. */
-    void syndromesInto(const uint32_t *cw,
-                       std::vector<uint32_t> &syn) const;
+    /**
+     * The remainder kernel: (data * x^E) mod g(x) of the k symbols at
+     * @p data (position i is degree E + i) into @p lfsr[0, E), low
+     * order first. @p lfsr is resized to k + E.
+     */
+    void remainderInto(const uint32_t *data,
+                       std::vector<uint16_t> &lfsr) const;
+
+    /** Syndromes S_1..S_E of @p cw (n symbols) into @p s.syn. */
+    void syndromesInto(const uint32_t *cw, RsScratch &s) const;
 
     const GaloisField &gf_;
     size_t n_;
     size_t nPar_;
-    std::vector<uint32_t> generator_; // generator polynomial, low-first
-    std::vector<int32_t> genLog_;     // log of each coeff, -1 for zero
+    unsigned nibbles_;            // ceil(m / 4)
+    std::vector<uint16_t> rows_;  // T[b][v][j] at ((b*16 + v) * E + j)
 };
 
 } // namespace dnastore

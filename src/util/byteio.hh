@@ -68,6 +68,25 @@ class ByteWriter
         bytes(data.data(), data.size());
     }
 
+    /**
+     * Append @p n zero bytes and return where they start, for a
+     * caller that fills them in place. Valid until the next append.
+     */
+    uint8_t *
+    extend(size_t n)
+    {
+        bytes_.resize(bytes_.size() + n);
+        return bytes_.data() + bytes_.size() - n;
+    }
+
+    /** Overwrite the 8 already-written bytes at @p pos with @p v. */
+    void
+    u64At(size_t pos, uint64_t v)
+    {
+        for (int i = 0; i < 8; ++i)
+            bytes_[pos + size_t(i)] = uint8_t(v >> (8 * i));
+    }
+
     /** Append a string's bytes (no length prefix, no terminator). */
     void
     str(const std::string &s)
@@ -167,6 +186,18 @@ class ByteReader
         if (!take(n))
             return {};
         return std::vector<uint8_t>(data_ + pos_ - n, data_ + pos_);
+    }
+
+    /**
+     * Claim @p n bytes and return them in place (nullptr and
+     * poisoned on underflow).
+     */
+    const uint8_t *
+    view(size_t n)
+    {
+        if (!take(n))
+            return nullptr;
+        return data_ + pos_ - n;
     }
 
     /** Advance @p n bytes; false (poisoned) on underflow. */

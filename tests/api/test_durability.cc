@@ -229,6 +229,30 @@ TEST(StoreScrub, RejectsNonFiniteMinAgreement)
     EXPECT_EQ(async.status().code(), StatusCode::InvalidArgument);
 }
 
+TEST(StoreScrub, TrialJobRejectsNonFiniteMinAgreementLikeScrub)
+{
+    // A TrialJob's per-epoch scrubs pass the same gate as scrub() and
+    // ScrubJob: the same NaN policy is INVALID_ARGUMENT on all three.
+    Store store = openAging(decayProfile());
+    ASSERT_TRUE(store.put("a.bin", patternBytes(600, 9)).ok());
+
+    ScrubOptions policy;
+    policy.minAgreement = std::numeric_limits<double>::quiet_NaN();
+    Result<ScrubReport> sync = store.scrub(policy);
+    ASSERT_FALSE(sync.ok());
+    EXPECT_EQ(sync.status().code(), StatusCode::InvalidArgument);
+
+    TrialJob job;
+    job.trialSeeds = { 1 };
+    job.agingEpochs = 1;
+    job.scrubEachEpoch = true;
+    job.scrub = policy;
+    Result<TrialSeries> trials = store.submit(job).get();
+    ASSERT_FALSE(trials.ok());
+    EXPECT_EQ(trials.status().code(), StatusCode::InvalidArgument);
+    EXPECT_EQ(trials.status().message(), sync.status().message());
+}
+
 TEST(StoreScrub, RepairsAgedPoolBackToExact)
 {
     Store store = openAging(decayProfile());

@@ -106,6 +106,65 @@ TEST(PoolFileFormat, SerializationIsDeterministic)
     EXPECT_EQ(serializePoolFile(c), serializePoolFile(c));
 }
 
+namespace {
+
+/**
+ * Contents exercising every strand-packing case: unit strands of
+ * lengths 0..9 (each tail of a 4-bases-per-byte pack) and a ragged
+ * pool whose clusters hold 0..3 reads of varied lengths.
+ */
+PoolFileContents
+goldenContents()
+{
+    PoolFileContents c;
+    c.config = StorageConfig::tinyTest();
+    c.config.primerKey = 11;
+    c.scheme = LayoutScheme::Gini;
+    c.unitSeed = 0x0123456789ABCDEFull;
+    c.manifest.add("x.bin", { 0, 255, 17 });
+    c.payloadBits = 777;
+    const char *acgt = "ACGTTGCAAC";
+    for (size_t len = 0; len <= 9; ++len)
+        c.strands.push_back(strandFromString(std::string(acgt + 9 - len,
+                                                         len)));
+    c.hasPools = true;
+    c.poolMaxCoverage = 3;
+    c.pools.resize(c.strands.size());
+    for (size_t i = 0; i < c.pools.size(); ++i) {
+        for (size_t r = 0; r < i % 4; ++r)
+            c.pools[i].push_back(strandFromString(
+                std::string(acgt + r, (i + 3 * r) % 8)));
+    }
+    return c;
+}
+
+/** FNV-1a, independent of the CRC the format itself embeds. */
+uint64_t
+fnv1a(const std::vector<uint8_t> &bytes)
+{
+    uint64_t h = 0xCBF29CE484222325ull;
+    for (uint8_t b : bytes) {
+        h ^= b;
+        h *= 0x100000001B3ull;
+    }
+    return h;
+}
+
+} // namespace
+
+TEST(PoolFileFormat, GoldenBytes)
+{
+    // Pins the on-disk bytes: any change to strand packing, section
+    // framing or the CRC shows here, whatever the round trip says.
+    const PoolFileContents c = goldenContents();
+    const std::vector<uint8_t> bytes = serializePoolFile(c);
+    EXPECT_EQ(bytes.size(), 348u);
+    EXPECT_EQ(fnv1a(bytes), 3597253407332757191ull);
+    Result<PoolFileContents> parsed = parsePoolFile(bytes);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().toString();
+    expectEqual(c, *parsed);
+}
+
 TEST(PoolFileFormat, SectionSpansCoverTheWholeFile)
 {
     const std::vector<uint8_t> bytes =

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "ecc/rs.hh"
@@ -330,6 +331,207 @@ TEST(ReedSolomon, PaperScaleGf16Codeword)
     EXPECT_TRUE(result.success);
     EXPECT_EQ(result.errorsCorrected, 16u);
     EXPECT_EQ(noisy, cw);
+}
+
+// --- Equivalence with the textbook loops the remainder kernel
+// replaced: a tap-by-tap LFSR encode and an n x E Horner syndrome
+// evaluation over the whole received word.
+
+/** g(x) = prod_{i=1}^{E} (x - alpha^i), low-order first. */
+std::vector<uint32_t>
+referenceGenerator(const GaloisField &gf, size_t e)
+{
+    std::vector<uint32_t> g = { 1 };
+    for (size_t i = 1; i <= e; ++i) {
+        std::vector<uint32_t> next(g.size() + 1, 0);
+        const uint32_t root = gf.alphaPow(i);
+        for (size_t j = 0; j < g.size(); ++j) {
+            next[j] ^= gf.mul(g[j], root);
+            next[j + 1] ^= g[j];
+        }
+        g = std::move(next);
+    }
+    return g;
+}
+
+/** Parity of @p data by one LFSR tap at a time. */
+std::vector<uint32_t>
+referenceParity(const GaloisField &gf, const std::vector<uint32_t> &g,
+                const std::vector<uint32_t> &data)
+{
+    const size_t e = g.size() - 1;
+    std::vector<uint32_t> rem(e, 0);
+    for (size_t i = data.size(); i-- > 0;) {
+        const uint32_t f = data[i] ^ rem[e - 1];
+        for (size_t j = e; j-- > 1;)
+            rem[j] = rem[j - 1] ^ gf.mul(g[j], f);
+        rem[0] = gf.mul(g[0], f);
+    }
+    return rem;
+}
+
+/**
+ * True when r(alpha^j) = 0 for j = 1..E, with data position i at
+ * degree E + i and parity position k + j at degree j. Eight Horner
+ * chains share each pass over the word; returns at the first block
+ * holding a nonzero syndrome.
+ */
+bool
+referenceIsCodeword(const GaloisField &gf, size_t e,
+                    const std::vector<uint32_t> &cw)
+{
+    const uint16_t *lg = gf.logData();
+    const uint16_t *ex = gf.expData();
+    const size_t k = cw.size() - e;
+    constexpr size_t kLanes = 8;
+    for (size_t j = 0; j < e; j += kLanes) {
+        const size_t lanes = std::min(kLanes, e - j);
+        uint32_t acc[kLanes] = {};
+        auto step = [&](uint32_t c) {
+            for (size_t l = 0; l < lanes; ++l) {
+                const uint32_t a = acc[l];
+                acc[l] = (a ? ex[lg[a] + j + 1 + l] : 0) ^ c;
+            }
+        };
+        for (size_t i = k; i-- > 0;)
+            step(cw[i]);
+        for (size_t i = cw.size(); i-- > k;)
+            step(cw[i]);
+        for (size_t l = 0; l < lanes; ++l) {
+            if (acc[l] != 0)
+                return false;
+        }
+    }
+    return true;
+}
+
+/** Encode and isCodeword on @p words random words against the references. */
+void
+expectMatchesReference(unsigned m, size_t e, int words, uint64_t seed)
+{
+    GaloisField gf(m);
+    ReedSolomon rs(gf, e);
+    const std::vector<uint32_t> g = referenceGenerator(gf, e);
+    Rng rng(seed);
+    for (int w = 0; w < words; ++w) {
+        std::vector<uint32_t> data = randomData(rs, rng);
+        if (w == 1)
+            std::fill(data.begin(), data.end(), gf.order());
+        const std::vector<uint32_t> cw = rs.encode(data);
+        const std::vector<uint32_t> parity = referenceParity(gf, g, data);
+        ASSERT_TRUE(std::equal(parity.begin(), parity.end(),
+                               cw.begin() + long(rs.k())))
+            << "m=" << m << " E=" << e << " word " << w;
+        EXPECT_TRUE(rs.isCodeword(cw));
+        EXPECT_TRUE(referenceIsCodeword(gf, e, cw));
+        for (size_t n_err : { size_t(1), std::min<size_t>(e, 5) }) {
+            std::vector<uint32_t> noisy = cw;
+            corrupt(noisy, n_err, gf, rng);
+            EXPECT_EQ(rs.isCodeword(noisy),
+                      referenceIsCodeword(gf, e, noisy))
+                << "m=" << m << " E=" << e << " errors " << n_err;
+        }
+    }
+}
+
+TEST(ReedSolomon, EncodeAndSyndromesMatchReferenceSmallFields)
+{
+    // Every parity count a code over GF(4), GF(8) and GF(16) admits.
+    for (unsigned m : { 2u, 3u, 4u }) {
+        const size_t n = (size_t(1) << m) - 1;
+        for (size_t e = 1; e < n; ++e)
+            expectMatchesReference(m, e, 4, 100 + m * 31 + e);
+    }
+}
+
+TEST(ReedSolomon, EncodeAndSyndromesMatchReferenceGf256)
+{
+    for (size_t e = 1; e < 255; ++e)
+        expectMatchesReference(8, e, 2, 400 + e);
+}
+
+TEST(ReedSolomon, EncodeAndSyndromesMatchReferenceGf1024)
+{
+    // Nibble-boundary and lane-boundary parity counts, the benchmark
+    // operating point (E = 188) and the largest E.
+    for (size_t e : { 1, 2, 3, 7, 8, 9, 15, 16, 17, 31, 47, 64, 188, 255,
+                      511, 1000, 1021, 1022 })
+        expectMatchesReference(10, e, 3, 700 + e);
+}
+
+TEST(ReedSolomon, EncodeAndSyndromesMatchReferenceGf65536)
+{
+    for (size_t e : { 1, 2, 3, 8, 16, 17, 32 })
+        expectMatchesReference(16, e, 2, 900 + e);
+    // The paper's geometry, RS(65535, 53477): one codeword.
+    expectMatchesReference(16, 12058, 1, 901);
+}
+
+/** FNV-1a over 64-bit words. */
+void
+mix(uint64_t &h, uint64_t v)
+{
+    for (int i = 0; i < 8; ++i) {
+        h ^= (v >> (8 * i)) & 0xFF;
+        h *= 0x100000001B3ull;
+    }
+}
+
+/**
+ * Decode random error/erasure mixes with 2 * errors + erasures from
+ * E - 2 to E + 4 (at, and beyond, capability) and fold every outcome
+ * (success, both counts, the word left behind) into one digest.
+ */
+uint64_t
+decodeOutcomeDigest(unsigned m, size_t e, int trials, uint64_t seed)
+{
+    GaloisField gf(m);
+    ReedSolomon rs(gf, e);
+    Rng rng(seed);
+    RsScratch scratch;
+    uint64_t h = 0xCBF29CE484222325ull;
+    for (int t = 0; t < trials; ++t) {
+        const std::vector<uint32_t> cw = rs.encode(randomData(rs, rng));
+        const size_t weight = e - 2 + size_t(rng.nextBelow(7));
+        const size_t n_erase = size_t(rng.nextBelow(
+            std::min(weight, e) + 1));
+        const size_t n_err = (weight - n_erase + 1) / 2;
+        std::vector<uint32_t> noisy = cw;
+        std::vector<size_t> bad = corrupt(noisy, n_erase + n_err, gf, rng);
+        std::vector<size_t> erasures(bad.begin(),
+                                     bad.begin() + long(n_erase));
+        const RsDecodeResult r = rs.decode(noisy, erasures, scratch);
+        mix(h, uint64_t(r.success));
+        mix(h, r.errorsCorrected);
+        mix(h, r.erasuresCorrected);
+        for (uint32_t sym : noisy)
+            mix(h, sym);
+    }
+    return h;
+}
+
+TEST(ReedSolomon, DecodeOutcomesMatchRecordedDigests)
+{
+    // Digests recorded from the decoder whose syndromes were an n x E
+    // Horner over the whole received word; the remainder kernel must
+    // reproduce every success flag, count and corrected word.
+    struct Case
+    {
+        unsigned m;
+        size_t e;
+        uint64_t digest;
+    };
+    const Case cases[] = {
+        { 4, 6, 16680814149165044583ull },
+        { 8, 16, 6746767370703346081ull },
+        { 8, 47, 4491685167533270598ull },
+        { 10, 188, 14495120483116007383ull },
+    };
+    for (const Case &c : cases) {
+        EXPECT_EQ(decodeOutcomeDigest(c.m, c.e, 200, c.m * 1000 + c.e),
+                  c.digest)
+            << "m=" << c.m << " E=" << c.e;
+    }
 }
 
 } // namespace

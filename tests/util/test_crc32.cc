@@ -15,6 +15,23 @@ using namespace dnastore;
 
 namespace {
 
+/** The bytewise reflected IEEE loop, one table lookup per byte. */
+uint32_t
+referenceCrc(const uint8_t *data, size_t n, uint32_t crc = 0)
+{
+    uint32_t table[256];
+    for (uint32_t i = 0; i < 256; ++i) {
+        uint32_t c = i;
+        for (int k = 0; k < 8; ++k)
+            c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+        table[i] = c;
+    }
+    uint32_t c = crc ^ 0xFFFFFFFFu;
+    for (size_t i = 0; i < n; ++i)
+        c = table[(c ^ data[i]) & 0xFFu] ^ (c >> 8);
+    return c ^ 0xFFFFFFFFu;
+}
+
 uint32_t
 crcOfString(const std::string &s)
 {
@@ -75,5 +92,45 @@ TEST(Crc32, EverySingleBitFlipChangesTheChecksum)
             EXPECT_NE(crc32(flipped), reference)
                 << "byte " << byte << " bit " << bit;
         }
+    }
+}
+
+TEST(Crc32, MatchesBytewiseReferenceAtEveryLengthAndOffset)
+{
+    // Every length 0..1100 from every start offset 0..7 covers each
+    // mix of 8-byte steps, byte tail and alignment.
+    std::vector<uint8_t> data(1100 + 8);
+    uint32_t x = 0x9E3779B9u;
+    for (auto &b : data) {
+        x = x * 1664525u + 1013904223u;
+        b = uint8_t(x >> 24);
+    }
+    for (size_t offset = 0; offset < 8; ++offset) {
+        for (size_t len = 0; len <= 1100; ++len) {
+            ASSERT_EQ(crc32(data.data() + offset, len),
+                      referenceCrc(data.data() + offset, len))
+                << "offset " << offset << " length " << len;
+        }
+    }
+}
+
+TEST(Crc32, ContinuationMatchesBytewiseReference)
+{
+    // A nonzero running CRC enters the 8-byte steps and the tail alike.
+    std::vector<uint8_t> data(1100);
+    for (size_t i = 0; i < data.size(); ++i)
+        data[i] = uint8_t(i * 131 + 7);
+    for (uint32_t start : { 0u, 1u, 0xCBF43926u, 0xFFFFFFFFu }) {
+        for (size_t len = 0; len <= data.size(); len += 37) {
+            ASSERT_EQ(crc32(data.data(), len, start),
+                      referenceCrc(data.data(), len, start))
+                << "start " << start << " length " << len;
+        }
+    }
+    for (size_t split = 0; split <= data.size(); split += 13) {
+        const uint32_t head = crc32(data.data(), split);
+        EXPECT_EQ(crc32(data.data() + split, data.size() - split, head),
+                  referenceCrc(data.data(), data.size()))
+            << "split at " << split;
     }
 }
