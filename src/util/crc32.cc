@@ -6,41 +6,21 @@ namespace dnastore {
 
 namespace {
 
-using CrcTables = std::array<std::array<uint32_t, 256>, 8>;
-
-/**
- * Slicing-by-8 tables, built once (thread-safe static init). t[0] is
- * the reflected IEEE byte table; t[s][i] is the CRC of byte i followed
- * by s zero bytes, so eight table lookups advance the CRC by 8 bytes.
- */
-const CrcTables &
-crcTables()
+/** The reflected IEEE table, built once (thread-safe static init). */
+const std::array<uint32_t, 256> &
+crcTable()
 {
-    static const CrcTables tables = [] {
-        CrcTables t{};
+    static const std::array<uint32_t, 256> table = [] {
+        std::array<uint32_t, 256> t{};
         for (uint32_t i = 0; i < 256; ++i) {
             uint32_t c = i;
             for (int k = 0; k < 8; ++k)
                 c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-            t[0][i] = c;
-        }
-        for (size_t s = 1; s < 8; ++s) {
-            for (uint32_t i = 0; i < 256; ++i) {
-                const uint32_t prev = t[s - 1][i];
-                t[s][i] = t[0][prev & 0xFFu] ^ (prev >> 8);
-            }
+            t[i] = c;
         }
         return t;
     }();
-    return tables;
-}
-
-/** Bytes p[0..3] as a little-endian word, whatever the host order. */
-inline uint32_t
-le32(const uint8_t *p)
-{
-    return uint32_t(p[0]) | uint32_t(p[1]) << 8 | uint32_t(p[2]) << 16 |
-        uint32_t(p[3]) << 24;
+    return table;
 }
 
 } // namespace
@@ -48,18 +28,10 @@ le32(const uint8_t *p)
 uint32_t
 crc32(const uint8_t *data, size_t n, uint32_t crc)
 {
-    const CrcTables &t = crcTables();
+    const auto &table = crcTable();
     uint32_t c = crc ^ 0xFFFFFFFFu;
-    for (; n >= 8; data += 8, n -= 8) {
-        const uint32_t lo = c ^ le32(data);
-        const uint32_t hi = le32(data + 4);
-        c = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
-            t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^
-            t[3][hi & 0xFFu] ^ t[2][(hi >> 8) & 0xFFu] ^
-            t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
-    }
     for (size_t i = 0; i < n; ++i)
-        c = t[0][(c ^ data[i]) & 0xFFu] ^ (c >> 8);
+        c = table[(c ^ data[i]) & 0xFFu] ^ (c >> 8);
     return c ^ 0xFFFFFFFFu;
 }
 

@@ -5,11 +5,9 @@
  * Guards every section of the durable `.dnapool` store format
  * (api/pool_file.hh): a single flipped bit anywhere in a section
  * changes its checksum, so truncation and bit-rot surface as a named
- * integrity failure instead of a silent mis-decode. Slicing-by-8:
- * eight 1 KiB tables built on first use advance the CRC 8 bytes per
- * step, with words assembled little-endian so every host computes the
- * same value; incremental via the running `crc` parameter so
- * multi-buffer sections need no concatenation.
+ * integrity failure instead of a silent mis-decode. Table-driven,
+ * one 1 KiB table built on first use; incremental via the running
+ * `crc` parameter so multi-buffer sections need no concatenation.
  */
 
 #ifndef DNASTORE_UTIL_CRC32_HH

@@ -98,7 +98,7 @@ TEST(Crc32, EverySingleBitFlipChangesTheChecksum)
 TEST(Crc32, MatchesBytewiseReferenceAtEveryLengthAndOffset)
 {
     // Every length 0..1100 from every start offset 0..7 covers each
-    // mix of 8-byte steps, byte tail and alignment.
+    // alignment and tail length a word-at-a-time loop could get wrong.
     std::vector<uint8_t> data(1100 + 8);
     uint32_t x = 0x9E3779B9u;
     for (auto &b : data) {
@@ -116,7 +116,7 @@ TEST(Crc32, MatchesBytewiseReferenceAtEveryLengthAndOffset)
 
 TEST(Crc32, ContinuationMatchesBytewiseReference)
 {
-    // A nonzero running CRC enters the 8-byte steps and the tail alike.
+    // A nonzero running CRC must continue exactly where a split left off.
     std::vector<uint8_t> data(1100);
     for (size_t i = 0; i < data.size(); ++i)
         data[i] = uint8_t(i * 131 + 7);
