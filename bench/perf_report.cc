@@ -312,6 +312,23 @@ collect(std::vector<BenchResult> &results, const Options &opt)
         });
     }
 
+    // --- Two-sided consensus over 1,023 distinct clusters per op,
+    // archive-roundtrip's unit. Repeating one cluster (above) lets the
+    // branch predictor learn its vote pattern; distinct clusters show
+    // the per-cluster cost a decode pays.
+    {
+        IdsChannel channel(ErrorModel::uniform(0.05));
+        Rng rng(13);
+        std::vector<std::vector<Strand>> clusters;
+        for (int c = 0; c < 1023; ++c)
+            clusters.push_back(
+                channel.transmitCluster(randomStrand(455, rng), 10, rng));
+        add("consensus_two_sided_c10_x1023", [&clusters]() {
+            for (const auto &reads : clusters)
+                g_sink ^= bitsFromBase(reconstructTwoSided(reads, 455)[227]);
+        });
+    }
+
 #ifdef DNASTORE_HAVE_PACKED_STRAND
     // --- 2-bit packing round trip (new API; skipped on baselines).
     {
@@ -332,7 +349,7 @@ collect(std::vector<BenchResult> &results, const Options &opt)
 
 #ifdef DNASTORE_HAVE_BMA
     // --- One-way BMA consensus at coverage 10 (the decode-side inner
-    // loop the SIMD unanimity/histogram kernels accelerate).
+    // loop).
     {
         IdsChannel channel(ErrorModel::uniform(0.05));
         Rng rng(12);

@@ -1,119 +1,230 @@
 #include "consensus/bma.hh"
 
-#include <array>
+#include <algorithm>
 #include <cstring>
 #include <stdexcept>
 
 #include "util/simd.hh"
 
+#if defined(__x86_64__) || defined(__i386__)
+#define DNASTORE_BMA_X86 1
+#endif
+
 namespace dnastore {
 
 namespace {
 
-/** Majority base among the given votes; ties break to the lowest. */
-int
-majority(const std::array<uint32_t, kNumBases> &votes)
+/** Lane padding byte: never a base code (bases are 0..3). */
+constexpr uint8_t kSentinel = 0x80;
+
+/**
+ * Sentinel bytes after each lane. A vote step can move a cursor to
+ * size + 1 (an insertion skip on the last base), and every step loads
+ * 8 bytes from each cursor.
+ */
+constexpr size_t kPad = 9;
+
+/** The sentinel bit of every byte of a window. */
+constexpr uint64_t kHighBits = 0x8080808080808080ULL;
+
+/** Expected-base byte for a lookahead position nobody voted on. */
+constexpr uint64_t kNoVote = 0xff;
+
+/**
+ * Majority base of four packed 16-bit vote counters (base b in bits
+ * 16b..16b+15); ties break to the lowest base.
+ */
+inline uint64_t
+majority(uint64_t packed)
 {
-    int best = 0;
-    for (int b = 1; b < kNumBases; ++b)
-        if (votes[size_t(b)] > votes[size_t(best)])
+    uint64_t best = 0;
+    uint64_t best_votes = packed & 0xffff;
+    for (uint64_t b = 1; b < uint64_t(kNumBases); ++b) {
+        const uint64_t votes = (packed >> (16 * b)) & 0xffff;
+        if (votes > best_votes) {
             best = b;
+            best_votes = votes;
+        }
+    }
     return best;
 }
 
-/** Lookahead window used to classify an outlier's error type. */
-constexpr size_t kWindow = 3;
-
-/** Base @p i of read @p r, optionally through a reversing lens. */
-template <bool kRev>
-inline Base
-readAt(const StrandView &r, size_t i)
-{
-    return kRev ? r[r.size() - 1 - i] : r[i];
-}
-
-/** Raw byte pointer of a view (Base is a uint8_t enum). */
-inline const uint8_t *
-bytes(const StrandView &r)
-{
-    return reinterpret_cast<const uint8_t *>(r.data());
-}
-
-/**
- * The next min(rem, 8) bases of the read starting at lens position
- * @p cur, packed one per byte (byte i = base cur + i); missing bytes
- * are zero. One word load serves the vote, the lookahead windows, and
- * the outlier classification, replacing up to eight scattered
- * per-base fetches. The reversed lens walks the strand downward, so
- * the load is byte-swapped into lens order.
- */
-template <bool kRev>
+/** Byte @p off of window @p w. */
 inline uint64_t
-loadWindow(const StrandView &read, size_t cur, size_t rem)
+byteAt(uint64_t w, unsigned off)
 {
-    const uint8_t *base = bytes(read);
-    if (!kRev) {
-        uint64_t w;
-        if (rem >= 8) {
-            std::memcpy(&w, base + cur, 8);
-            return w;
-        }
-        w = 0;
-        std::memcpy(&w, base + cur, rem);
-        return w;
-    }
-    size_t p = read.size() - 1 - cur;
-    uint64_t t;
-    if (p >= 7) {
-        std::memcpy(&t, base + p - 7, 8);
-        return __builtin_bswap64(t);
-    }
-    t = 0;
-    std::memcpy(&t, base, p + 1);
-    return __builtin_bswap64(t) >> (8 * (7 - p));
+    return (w >> (8 * off)) & 0xff;
 }
 
 /**
- * Length of the run of positions, starting at the current cursors,
- * over which reads @p read and @p read0 agree — at most @p cap
- * positions. Through the reversing lens the windows walk down the
- * strands, so the comparison is a common-suffix scan of the
- * underlying bytes.
+ * Copy every read into scratch.lanes, reversed for the backward pass,
+ * each followed by kPad sentinels, and point each cursor at its lane's
+ * first byte.
  */
-template <bool kRev>
-inline size_t
-agreeRun(const StrandView &read, size_t cur, const StrandView &read0,
-         size_t cur0, size_t cap)
+void
+fillLanes(const StrandView *reads, size_t n, bool reversed,
+          BmaScratch &scratch)
 {
-    if (!kRev)
-        return simd::matchRunForward(bytes(read) + cur,
-                                     bytes(read0) + cur0, cap);
-    size_t p = read.size() - 1 - cur;
-    size_t p0 = read0.size() - 1 - cur0;
-    return simd::matchRunBackward(bytes(read) + p + 1 - cap,
-                                  bytes(read0) + p0 + 1 - cap, cap);
+    size_t total = 0;
+    for (size_t r = 0; r < n; ++r)
+        total += reads[r].size() + kPad;
+    scratch.lanes.resize(total);
+    scratch.cursor.resize(n);
+    scratch.window.resize(n);
+    uint8_t *lane = scratch.lanes.data();
+    for (size_t r = 0; r < n; ++r) {
+        const size_t len = reads[r].size();
+        const auto *src = reinterpret_cast<const uint8_t *>(reads[r].data());
+        scratch.cursor[r] = size_t(lane - scratch.lanes.data());
+        if (reversed)
+            std::reverse_copy(src, src + len, lane);
+        else if (len > 0) // an empty view may have a null data()
+            std::memcpy(lane, src, len);
+        std::memset(lane + len, kSentinel, kPad);
+        lane += len + kPad;
+    }
 }
 
 /**
- * The one-way lookahead-majority scan, shared by the forward and
- * reversed entry points. Reads are only ever accessed through
- * readAt<kRev> (or its bulk equivalents), so the reversed pass needs
- * no materialized copies.
+ * The one-way lookahead-majority scan over sentinel-padded lanes.
  *
- * Positions where every active read agrees are the common case at
- * realistic error rates, and a whole run of them is detected with one
- * vectorized compare per read (32 bases per step) instead of a
- * per-position vote: the run's bases are emitted in bulk and every
- * cursor jumps forward by the run length, which is exactly what the
- * per-position unanimity fast path did one base at a time.
- * Disagreeing positions take the vote path: one packed 8-base window
- * load per active read feeds the SIMD column histogram, the lookahead
- * majority windows, and the Figure 2 error-type classification.
+ * Each step loads one 8-byte window per read at its cursor; a read is
+ * active while its window's first byte is a base. Positions where
+ * every active read agrees are the common case at realistic error
+ * rates: the agreement run is read off the OR of the windows'
+ * differences from the first active read (a sentinel byte also ends
+ * it), emitted, and every active cursor jumps by it — up to 8 bases
+ * per step, exactly as per-position unanimous votes would. Other
+ * positions take the vote path on the same windows: the column
+ * histogram, the lookahead majority over the reads that agree, and
+ * the Figure 2 error-type classification of each outlier, whose
+ * cursor step is selected rather than branched to.
+ *
+ * Every per-read loop is a straight pass over the window and cursor
+ * arrays, so a wrapper compiled for AVX2 runs them four reads per
+ * instruction (the packed histograms need its variable 64-bit
+ * shifts).
  */
-template <bool kRev>
+__attribute__((always_inline)) inline void
+scanLanes(const uint8_t *lanes, size_t *cursor, uint64_t *window,
+          size_t n, size_t target_len, uint8_t *out)
+{
+    uint8_t last_consensus = uint8_t(Base::A);
+    size_t pos = 0;
+    while (pos < target_len) {
+        for (size_t r = 0; r < n; ++r)
+            std::memcpy(&window[r], lanes + cursor[r], 8);
+        size_t ref = 0;
+        while (ref < n && (window[ref] & kSentinel))
+            ++ref;
+        if (ref == n) {
+            // All reads exhausted: pad with the last consensus base.
+            std::memset(out + pos, last_consensus, target_len - pos);
+            return;
+        }
+
+        const uint64_t w_ref = window[ref];
+        uint64_t diff = 0;
+        for (size_t r = 0; r < n; ++r) {
+            const uint64_t w = window[r];
+            const uint64_t active = ((w >> 7) & 1) - 1;
+            diff |= active & ((w ^ w_ref) | (w & kHighBits));
+        }
+        size_t run = diff ? size_t(__builtin_ctzll(diff)) / 8 : 8;
+        run = std::min(run, target_len - pos);
+        if (run > 0) {
+            std::memcpy(out + pos, &w_ref, run);
+            for (size_t r = 0; r < n; ++r) {
+                const uint64_t active = ((window[r] >> 7) & 1) - 1;
+                cursor[r] += active & run;
+            }
+            last_consensus = out[pos + run - 1];
+            pos += run;
+            continue;
+        }
+
+        // Vote path: column histogram in four packed 16-bit counters.
+        uint64_t column = 0;
+        for (size_t r = 0; r < n; ++r) {
+            const uint64_t b = window[r] & 0xff;
+            column += uint64_t(b < 4) << (16 * (b & 3));
+        }
+        const uint64_t c = majority(column);
+
+        // Estimate the next three consensus bases from the reads that
+        // agree at the current position ("the next two characters are
+        // GT in most sequences..."). A sentinel byte casts no vote.
+        uint64_t ahead0 = 0, ahead1 = 0, ahead2 = 0;
+        for (size_t r = 0; r < n; ++r) {
+            const uint64_t w = window[r];
+            const uint64_t agree = uint64_t((w & 0xff) == c);
+            const uint64_t b1 = byteAt(w, 1), b2 = byteAt(w, 2),
+                           b3 = byteAt(w, 3);
+            ahead0 += (agree & uint64_t(b1 < 4)) << (16 * (b1 & 3));
+            ahead1 += (agree & uint64_t(b2 < 4)) << (16 * (b2 & 3));
+            ahead2 += (agree & uint64_t(b3 < 4)) << (16 * (b3 & 3));
+        }
+        // A position without voters expects a byte no window holds,
+        // so it adds nothing to any hypothesis score.
+        const uint64_t next0 = ahead0 ? majority(ahead0) : kNoVote;
+        const uint64_t next1 = ahead1 ? majority(ahead1) : kNoVote;
+        const uint64_t next2 = ahead2 ? majority(ahead2) : kNoVote;
+
+        // Classify each outlier by scoring the three hypotheses over
+        // the lookahead window. Each gets the same number of evidence
+        // terms, so none is favored merely by having more chances to
+        // match (on repeated bases an asymmetric insertion score would
+        // win spuriously and desynchronize the read).
+        for (size_t r = 0; r < n; ++r) {
+            const uint64_t w = window[r];
+            const uint64_t b0 = w & 0xff, b1 = byteAt(w, 1),
+                           b2 = byteAt(w, 2), b3 = byteAt(w, 3);
+            // Substitution: b0 is a corrupted c; the upcoming
+            // consensus follows it.
+            const uint64_t sub = uint64_t(b1 == next0) +
+                uint64_t(b2 == next1) + uint64_t(b3 == next2);
+            // Insertion: b0 is an extra base; c and then the upcoming
+            // consensus follow it.
+            const uint64_t ins = uint64_t(b1 == c) +
+                uint64_t(b2 == next0) + uint64_t(b3 == next1);
+            // Deletion: the read lost c; b0 itself starts the
+            // upcoming consensus.
+            const uint64_t del = uint64_t(b0 == next0) +
+                uint64_t(b1 == next1) + uint64_t(b2 == next2);
+            uint64_t step = ins >= del ? 2 : 0;
+            step = sub >= ins && sub >= del ? 1 : step;
+            step = b0 == c ? 1 : step;
+            cursor[r] += b0 < 4 ? step : 0;
+        }
+        out[pos] = uint8_t(c);
+        last_consensus = uint8_t(c);
+        ++pos;
+    }
+}
+
+void
+scanPortable(const uint8_t *lanes, size_t *cursor, uint64_t *window,
+             size_t n, size_t target_len, uint8_t *out)
+{
+    scanLanes(lanes, cursor, window, n, target_len, out);
+}
+
+#ifdef DNASTORE_BMA_X86
+__attribute__((target("avx2"))) void
+scanAvx2(const uint8_t *lanes, size_t *cursor, uint64_t *window,
+         size_t n, size_t target_len, uint8_t *out)
+{
+    scanLanes(lanes, cursor, window, n, target_len, out);
+}
+#endif
+
+/**
+ * Shared body of the forward and reversed entry points: the backward
+ * pass differs only in copying each read into its lane reversed.
+ */
 void
 reconstructCore(const StrandView *reads, size_t n, size_t target_len,
-                BmaScratch &scratch, Strand &out)
+                bool reversed, BmaScratch &scratch, Strand &out)
 {
     // The packed 16-bit vote counters bound the cluster size; real
     // coverages are orders of magnitude below this.
@@ -121,193 +232,19 @@ reconstructCore(const StrandView *reads, size_t n, size_t target_len,
         throw std::invalid_argument(
             "BMA consensus supports at most 65534 reads per cluster");
 
-    std::vector<size_t> &cursor = scratch.cursor;
-    cursor.assign(n, 0);
+    fillLanes(reads, n, reversed, scratch);
     out.clear();
-    out.reserve(target_len);
-
-    std::vector<uint8_t> &column = scratch.column;
-    std::vector<uint64_t> &window = scratch.window;
-    std::vector<uint8_t> &wlen = scratch.windowLen;
-    std::vector<uint32_t> &aread = scratch.activeRead;
-
-    Base last_consensus = Base::A;
-    size_t pos = 0;
-    while (pos < target_len) {
-        // Cheap unanimity probe: find the first active read and check
-        // whether every other active read shows the same base. Run
-        // positions (the common case) pay only these one-byte loads.
-        size_t first = n;
-        bool unanimous = true;
-        Base c = Base::A;
-        for (size_t r = 0; r < n; ++r) {
-            if (cursor[r] >= reads[r].size())
-                continue;
-            Base b = readAt<kRev>(reads[r], cursor[r]);
-            if (first == n) {
-                first = r;
-                c = b;
-            } else if (b != c) {
-                unanimous = false;
-                break;
-            }
-        }
-
-        if (first == n) {
-            // All reads exhausted: pad with the last consensus base.
-            out.push_back(last_consensus);
-            ++pos;
-            continue;
-        }
-
-        if (unanimous) {
-            // Extend the unanimous stretch as far as every active
-            // read keeps matching the first active read (equality is
-            // transitive, so pairwise-vs-first suffices): one
-            // vectorized compare per read covers the whole run
-            // instead of a vote per position.
-            size_t run = target_len - pos;
-            for (size_t r = first; r < n; ++r) {
-                if (cursor[r] < reads[r].size())
-                    run = std::min(run, reads[r].size() - cursor[r]);
-            }
-            const StrandView &read0 = reads[first];
-            for (size_t r = first + 1; r < n && run > 1; ++r) {
-                if (cursor[r] >= reads[r].size())
-                    continue;
-                run = agreeRun<kRev>(reads[r], cursor[r], read0,
-                                     cursor[first], run);
-            }
-            // run >= 1: the probe already matched the current bases.
-            for (size_t i = 0; i < run; ++i)
-                out.push_back(readAt<kRev>(read0, cursor[first] + i));
-            for (size_t r = first; r < n; ++r) {
-                if (cursor[r] < reads[r].size())
-                    cursor[r] += run;
-            }
-            last_consensus = out.back();
-            pos += run;
-            continue;
-        }
-
-        // Vote path. Gather each active read's packed 8-base window
-        // once; everything below runs on the gathered words.
-        column.resize(n);
-        window.resize(n);
-        wlen.resize(n);
-        aread.resize(n);
-        size_t active = 0;
-        for (size_t r = 0; r < n; ++r) {
-            size_t cur = cursor[r];
-            if (cur >= reads[r].size())
-                continue;
-            size_t rem = reads[r].size() - cur;
-            uint64_t w = loadWindow<kRev>(reads[r], cur, rem);
-            column[active] = uint8_t(w & 0xff);
-            window[active] = w;
-            wlen[active] = uint8_t(rem < 8 ? rem : 8);
-            aread[active] = uint32_t(r);
-            ++active;
-        }
-
-        // Column base histogram (SIMD kernel), then majority vote.
-        std::array<uint32_t, kNumBases> votes{};
-        simd::histogram4(column.data(), active, votes.data());
-        int best_vote = majority(votes);
-        c = baseFromBits(unsigned(best_vote));
-        const uint8_t c_byte = uint8_t(c);
-
-        // Estimate the next kWindow consensus bases from the reads
-        // that agree at the current position. These drive the
-        // error-type classification below, mirroring the Figure 2
-        // reasoning ("the next two characters are GT in most
-        // sequences..."). The gathered windows already hold the
-        // lookahead bases.
-        // Each window position's votes live in one packed word of
-        // four 16-bit counters (same trick as the narrow histogram).
-        std::array<uint64_t, kWindow> nv_packed{};
-        std::array<uint32_t, kWindow> voters{};
-        for (size_t a = 0; a < active; ++a) {
-            if (column[a] != c_byte)
-                continue;
-            const uint64_t w = window[a];
-            const size_t len = wlen[a];
-            // Branchless: an out-of-range window position contributes
-            // a zero addend instead of taking a data-dependent branch.
-            for (size_t wi = 0; wi < kWindow; ++wi) {
-                uint64_t valid = uint64_t(wi + 1 < len);
-                nv_packed[wi] += valid
-                    << (16 * ((w >> (8 * (wi + 1))) & 0xff));
-                voters[wi] += uint32_t(valid);
-            }
-        }
-        std::array<Base, kWindow> next{};
-        std::array<bool, kWindow> have_next{};
-        for (size_t w = 0; w < kWindow; ++w) {
-            have_next[w] = voters[w] > 0;
-            std::array<uint32_t, kNumBases> nv = {
-                uint32_t(nv_packed[w] & 0xffff),
-                uint32_t((nv_packed[w] >> 16) & 0xffff),
-                uint32_t((nv_packed[w] >> 32) & 0xffff),
-                uint32_t((nv_packed[w] >> 48) & 0xffff),
-            };
-            next[w] = baseFromBits(unsigned(majority(nv)));
-        }
-
-        // Classify each outlier read by scoring the three hypotheses
-        // over the lookahead window and resynchronize its cursor.
-        // Every probe reads the gathered window word (all hypothesis
-        // offsets fit in its 8 bases).
-        for (size_t a = 0; a < active; ++a) {
-            const size_t r = aread[a];
-            const size_t cur = cursor[r];
-            if (column[a] == c_byte) {
-                cursor[r] = cur + 1;
-                continue;
-            }
-            const uint64_t w = window[a];
-            const size_t len = wlen[a];
-            // Branchless probe: 1 when the window holds @p expect at
-            // @p off, 0 otherwise (including out of range).
-            auto at = [w, len](size_t off, Base expect) -> int {
-                return int(off < len) &
-                    int(uint8_t((w >> (8 * off)) & 0xff) ==
-                        uint8_t(expect));
-            };
-            // Score each hypothesis with the same number of evidence
-            // terms (kWindow) so no hypothesis is favored merely by
-            // having more chances to match (this matters on repeated
-            // bases, where an asymmetric insertion score would win
-            // spuriously and desynchronize the read).
-            //
-            // Substitution: read[cur] is a corrupted c; the window
-            // after it should match the upcoming consensus.
-            int score_sub = 0;
-            // Insertion: read[cur] is an extra base; c and then the
-            // upcoming consensus follow it.
-            int score_ins = at(1, c);
-            // Deletion: the read lost c; read[cur] itself should
-            // match the upcoming consensus.
-            int score_del = 0;
-            for (size_t wi = 0; wi < kWindow; ++wi) {
-                const int have = int(have_next[wi]);
-                score_sub += have & at(1 + wi, next[wi]);
-                if (wi + 1 < kWindow)
-                    score_ins += have & at(2 + wi, next[wi]);
-                score_del += have & at(wi, next[wi]);
-            }
-            if (score_sub >= score_ins && score_sub >= score_del) {
-                cursor[r] = cur + 1; // substitution
-            } else if (score_ins >= score_del) {
-                cursor[r] = cur + 2; // insertion: skip it, consume c
-            } else {
-                // deletion: c is missing from the read; keep cursor.
-            }
-        }
-        out.push_back(c);
-        last_consensus = c;
-        ++pos;
+    out.resize(target_len);
+    auto *dst = reinterpret_cast<uint8_t *>(out.data());
+#ifdef DNASTORE_BMA_X86
+    if (simd::activeLevel() >= simd::Level::Avx2) {
+        scanAvx2(scratch.lanes.data(), scratch.cursor.data(),
+                 scratch.window.data(), n, target_len, dst);
+        return;
     }
+#endif
+    scanPortable(scratch.lanes.data(), scratch.cursor.data(),
+                 scratch.window.data(), n, target_len, dst);
 }
 
 } // namespace
@@ -317,7 +254,7 @@ reconstructOneWayInto(const StrandView *reads, size_t n_reads,
                       size_t target_len, BmaScratch &scratch,
                       Strand &out)
 {
-    reconstructCore<false>(reads, n_reads, target_len, scratch, out);
+    reconstructCore(reads, n_reads, target_len, false, scratch, out);
 }
 
 void
@@ -325,7 +262,7 @@ reconstructOneWayReversed(const StrandView *reads, size_t n_reads,
                           size_t target_len, BmaScratch &scratch,
                           Strand &out)
 {
-    reconstructCore<true>(reads, n_reads, target_len, scratch, out);
+    reconstructCore(reads, n_reads, target_len, true, scratch, out);
 }
 
 Strand
@@ -335,8 +272,8 @@ reconstructOneWay(const std::vector<Strand> &reads, size_t target_len)
     static thread_local BmaScratch scratch;
     views.assign(reads.begin(), reads.end());
     Strand out;
-    reconstructCore<false>(views.data(), views.size(), target_len,
-                           scratch, out);
+    reconstructCore(views.data(), views.size(), target_len, false,
+                    scratch, out);
     return out;
 }
 

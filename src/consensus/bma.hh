@@ -9,12 +9,28 @@
  * ahead, and their cursors are re-synchronized accordingly. Errors in
  * this classification propagate towards the end of the strand, which
  * is the root cause of the reliability skew (section 3.1).
+ *
+ * Each pass copies its reads into one lane apiece (the backward pass
+ * copies them reversed, so both passes run the same forward scan),
+ * and pads every lane with sentinel bytes 0x80, which no base code
+ * equals. The sentinel replaces every length check: a lookahead byte
+ * is valid when it is below 4, and a read is exhausted when its
+ * cursor byte has the 0x80 bit. Each step loads one 8-byte window per
+ * read; a run where all active reads agree is emitted up to 8 bases
+ * at a time, any other position is voted on.
+ *
+ * The scan is one body compiled twice: a portable build, and an AVX2
+ * build whose per-read loops run four reads per instruction. A pass
+ * takes the AVX2 build when simd::activeLevel() is Avx2, so
+ * DNASTORE_FORCE_SCALAR and simd::setLevel pin the portable one. Both
+ * give identical output.
  */
 
 #ifndef DNASTORE_CONSENSUS_BMA_HH
 #define DNASTORE_CONSENSUS_BMA_HH
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "dna/packed_strand.hh"
@@ -29,19 +45,18 @@ namespace dnastore {
  */
 struct BmaScratch
 {
+    /**
+     * Every read of the pass, back to back, one base per byte
+     * (reversed for the backward pass), each followed by 9 sentinel
+     * bytes 0x80.
+     */
+    std::vector<uint8_t> lanes;
+
+    /** Per read: its cursor, as an offset into lanes. */
     std::vector<size_t> cursor;
 
-    /** Gathered current-position bases (histogram kernel input). */
-    std::vector<uint8_t> column;
-
-    /** Per active read: the next 8 bases packed one per byte. */
+    /** Per read: the 8 lane bytes at its cursor, byte i = base i. */
     std::vector<uint64_t> window;
-
-    /** Per active read: valid byte count in window (<= 8). */
-    std::vector<uint8_t> windowLen;
-
-    /** Per active read: index into the reads array. */
-    std::vector<uint32_t> activeRead;
 };
 
 /**
@@ -65,9 +80,10 @@ void reconstructOneWayInto(const StrandView *reads, size_t n_reads,
                            Strand &out);
 
 /**
- * Reconstruct as if every read were reversed, without materializing
- * the reversed reads: the output estimates the reversed original.
- * Bit-identical to reversing each read and calling reconstructOneWay.
+ * Reconstruct as if every read were reversed: the output estimates
+ * the reversed original. The reads are reversed only in the scratch
+ * lanes. Bit-identical to reversing each read and calling
+ * reconstructOneWay.
  */
 void reconstructOneWayReversed(const StrandView *reads, size_t n_reads,
                                size_t target_len, BmaScratch &scratch,

@@ -24,8 +24,8 @@
 namespace dnastore {
 
 /**
- * Reusable working state for reconstructTwoSided: the BMA cursor
- * buffer plus the forward/backward estimates. One per thread.
+ * Reusable working state for reconstructTwoSided: the BMA lanes plus
+ * the forward/backward estimates. One per thread.
  */
 struct TwoSidedScratch
 {
@@ -48,9 +48,9 @@ Strand reconstructTwoSided(const std::vector<Strand> &reads,
 /**
  * View-based variant for the hot path: reconstruct from @p n_reads
  * strand views into @p out (cleared and refilled), reusing
- * @p scratch. The backward pass reads the views through a reversing
- * lens instead of materializing reversed copies. Bit-identical to the
- * vector overload.
+ * @p scratch. The backward pass copies the reads reversed into the
+ * scratch lanes, so the caller's views stay untouched. Bit-identical
+ * to the vector overload.
  */
 void reconstructTwoSidedInto(const StrandView *reads, size_t n_reads,
                              size_t target_len, TwoSidedScratch &scratch,

@@ -38,13 +38,35 @@ class Rng
     explicit Rng(uint64_t seed = 0x9e3779b97f4a7c15ULL);
 
     /** Next raw 64-bit draw. */
-    uint64_t next();
+    uint64_t
+    next()
+    {
+        const uint64_t result = rotl(s_[1] * 5, 7) * 9;
+        const uint64_t t = s_[1] << 17;
+        s_[2] ^= s_[0];
+        s_[3] ^= s_[1];
+        s_[1] ^= s_[2];
+        s_[0] ^= s_[3];
+        s_[2] ^= t;
+        s_[3] = rotl(s_[3], 45);
+        return result;
+    }
 
     /** Uniform integer in [0, bound), bound must be > 0. */
-    uint64_t nextBelow(uint64_t bound);
+    uint64_t
+    nextBelow(uint64_t bound)
+    {
+        // Lemire-style rejection to remove modulo bias.
+        const uint64_t threshold = (-bound) % bound;
+        for (;;) {
+            const uint64_t r = next();
+            if (r >= threshold)
+                return r % bound;
+        }
+    }
 
     /** Uniform double in [0, 1). */
-    double nextDouble();
+    double nextDouble() { return double(next() >> 11) * 0x1.0p-53; }
 
     /** Bernoulli trial with success probability p. */
     bool nextBool(double p);
@@ -78,6 +100,12 @@ class Rng
     }
 
   private:
+    static uint64_t
+    rotl(uint64_t x, int k)
+    {
+        return (x << k) | (x >> (64 - k));
+    }
+
     uint64_t s_[4];
     bool haveSpareGaussian_ = false;
     double spareGaussian_ = 0.0;

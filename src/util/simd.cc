@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
-#include <cstring>
 #include <vector>
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -43,40 +42,6 @@ histogram4Scalar(const uint8_t *vals, size_t n, uint32_t counts[4])
     counts[1] += c1;
     counts[2] += c2;
     counts[3] += c3;
-}
-
-size_t
-matchRunForwardScalar(const uint8_t *a, const uint8_t *b, size_t n)
-{
-    size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-        uint64_t x, y;
-        std::memcpy(&x, a + i, 8);
-        std::memcpy(&y, b + i, 8);
-        if (x != y)
-            return i + size_t(__builtin_ctzll(x ^ y)) / 8;
-    }
-    while (i < n && a[i] == b[i])
-        ++i;
-    return i;
-}
-
-size_t
-matchRunBackwardScalar(const uint8_t *a, const uint8_t *b, size_t n)
-{
-    size_t r = n;
-    for (; r >= 8; r -= 8) {
-        uint64_t x, y;
-        std::memcpy(&x, a + r - 8, 8);
-        std::memcpy(&y, b + r - 8, 8);
-        if (x != y) {
-            // Little-endian: the highest byte holds a[r-1].
-            return (n - r) + size_t(__builtin_clzll(x ^ y)) / 8;
-        }
-    }
-    while (r > 0 && a[r - 1] == b[r - 1])
-        --r;
-    return n - r;
 }
 
 size_t
@@ -184,42 +149,6 @@ histogram4Sse(const uint8_t *vals, size_t n, uint32_t counts[4])
 }
 
 __attribute__((target("sse4.2,popcnt"))) size_t
-matchRunForwardSse(const uint8_t *a, const uint8_t *b, size_t n)
-{
-    size_t i = 0;
-    for (; i + 16 <= n; i += 16) {
-        __m128i va =
-            _mm_loadu_si128(reinterpret_cast<const __m128i *>(a + i));
-        __m128i vb =
-            _mm_loadu_si128(reinterpret_cast<const __m128i *>(b + i));
-        uint32_t ne =
-            ~uint32_t(_mm_movemask_epi8(_mm_cmpeq_epi8(va, vb))) & 0xffffu;
-        if (ne != 0)
-            return i + size_t(__builtin_ctz(ne));
-    }
-    return i + matchRunForwardScalar(a + i, b + i, n - i);
-}
-
-__attribute__((target("sse4.2,popcnt"))) size_t
-matchRunBackwardSse(const uint8_t *a, const uint8_t *b, size_t n)
-{
-    size_t r = n;
-    for (; r >= 16; r -= 16) {
-        __m128i va =
-            _mm_loadu_si128(reinterpret_cast<const __m128i *>(a + r - 16));
-        __m128i vb =
-            _mm_loadu_si128(reinterpret_cast<const __m128i *>(b + r - 16));
-        uint32_t ne =
-            ~uint32_t(_mm_movemask_epi8(_mm_cmpeq_epi8(va, vb))) & 0xffffu;
-        if (ne != 0) {
-            unsigned hi = 31u - unsigned(__builtin_clz(ne));
-            return (n - r) + (15u - hi);
-        }
-    }
-    return (n - r) + matchRunBackwardScalar(a, b, r);
-}
-
-__attribute__((target("sse4.2,popcnt"))) size_t
 diffCountPackedSse(const uint64_t *a, const uint64_t *b, size_t words)
 {
     uint64_t total = 0;
@@ -260,40 +189,6 @@ histogram4Avx2(const uint8_t *vals, size_t n, uint32_t counts[4])
     counts[3] += c3;
     if (i < n)
         histogram4Scalar(vals + i, n - i, counts);
-}
-
-__attribute__((target("avx2,popcnt"))) size_t
-matchRunForwardAvx2(const uint8_t *a, const uint8_t *b, size_t n)
-{
-    size_t i = 0;
-    for (; i + 32 <= n; i += 32) {
-        __m256i va =
-            _mm256_loadu_si256(reinterpret_cast<const __m256i *>(a + i));
-        __m256i vb =
-            _mm256_loadu_si256(reinterpret_cast<const __m256i *>(b + i));
-        uint32_t ne =
-            ~uint32_t(_mm256_movemask_epi8(_mm256_cmpeq_epi8(va, vb)));
-        if (ne != 0)
-            return i + size_t(__builtin_ctz(ne));
-    }
-    return i + matchRunForwardScalar(a + i, b + i, n - i);
-}
-
-__attribute__((target("avx2,popcnt"))) size_t
-matchRunBackwardAvx2(const uint8_t *a, const uint8_t *b, size_t n)
-{
-    size_t r = n;
-    for (; r >= 32; r -= 32) {
-        __m256i va = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(a + r - 32));
-        __m256i vb = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(b + r - 32));
-        uint32_t ne =
-            ~uint32_t(_mm256_movemask_epi8(_mm256_cmpeq_epi8(va, vb)));
-        if (ne != 0)
-            return (n - r) + size_t(__builtin_clz(ne));
-    }
-    return (n - r) + matchRunBackwardScalar(a, b, r);
 }
 
 __attribute__((target("avx2,popcnt"))) size_t
@@ -437,10 +332,6 @@ struct Dispatch
     Level level = Level::Scalar;
     void (*histogram4)(const uint8_t *, size_t, uint32_t[4]) =
         histogram4Scalar;
-    size_t (*matchF)(const uint8_t *, const uint8_t *, size_t) =
-        matchRunForwardScalar;
-    size_t (*matchB)(const uint8_t *, const uint8_t *, size_t) =
-        matchRunBackwardScalar;
     size_t (*diffPacked)(const uint64_t *, const uint64_t *, size_t) =
         diffCountPackedScalar;
 };
@@ -470,15 +361,11 @@ makeDispatch(Level level)
     if (level >= Level::Sse42) {
         d.level = Level::Sse42;
         d.histogram4 = histogram4Sse;
-        d.matchF = matchRunForwardSse;
-        d.matchB = matchRunBackwardSse;
         d.diffPacked = diffCountPackedSse;
     }
     if (level >= Level::Avx2) {
         d.level = Level::Avx2;
         d.histogram4 = histogram4Avx2;
-        d.matchF = matchRunForwardAvx2;
-        d.matchB = matchRunBackwardAvx2;
         d.diffPacked = diffCountPackedAvx2;
     }
 #else
@@ -570,18 +457,6 @@ void
 histogram4Wide(const uint8_t *vals, size_t n, uint32_t counts[4])
 {
     dispatch().histogram4(vals, n, counts);
-}
-
-size_t
-matchRunForwardWide(const uint8_t *a, const uint8_t *b, size_t n)
-{
-    return dispatch().matchF(a, b, n);
-}
-
-size_t
-matchRunBackwardWide(const uint8_t *a, const uint8_t *b, size_t n)
-{
-    return dispatch().matchB(a, b, n);
 }
 
 } // namespace detail

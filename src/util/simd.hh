@@ -2,15 +2,15 @@
  * @file
  * Runtime-dispatched SIMD kernels for the decode-path inner loops.
  *
- * Three loop families dominate the retrieve side of the pipeline:
- * consensus column voting (base histograms and unanimity-run
- * detection), packed-strand mismatch counting, and Myers bit-parallel
- * edit distance for cluster candidate verification. Each kernel here
+ * The kernels: base histograms (the streaming clusterer's base
+ * composition), packed-strand mismatch counting, and Myers
+ * bit-parallel edit distance for cluster candidate verification. Each
  * has an AVX2 path, an SSE4.2 path, and a portable scalar fallback;
  * the implementation is chosen once at startup from CPUID, and every
  * path returns bit-identical results so the choice never changes an
  * output (the determinism suites run with DNASTORE_FORCE_SCALAR=1 to
- * prove it).
+ * prove it). The same tier picks the build of the BMA consensus scan
+ * (consensus/bma.hh) through activeLevel().
  *
  * The vector paths are compiled with per-function target attributes,
  * so the library stays runnable on any x86-64 (and non-x86 builds use
@@ -57,22 +57,18 @@ const char *levelName(Level level);
 Level setLevel(Level level);
 
 namespace detail {
-// Dispatched wide-input implementations; the inline entry points
-// below peel the short cases so hot loops with tiny operands skip the
+// Dispatched wide-input implementation; the inline entry point below
+// peels short inputs so hot loops with tiny operands skip the
 // indirect call entirely. Results are bit-identical on every tier.
 void histogram4Wide(const uint8_t *vals, size_t n, uint32_t counts[4]);
-size_t matchRunForwardWide(const uint8_t *a, const uint8_t *b,
-                           size_t n);
-size_t matchRunBackwardWide(const uint8_t *a, const uint8_t *b,
-                            size_t n);
 } // namespace detail
 
 /**
  * Accumulate a histogram of the values in vals[0..n) into counts[4].
  * Values must be in {0, 1, 2, 3} (2-bit base codes); counts are
- * added to, not reset. Narrow columns (consensus at typical
- * coverage) count inline through packed 16-bit-lane counters; wide
- * ones take the vector compare/popcount path.
+ * added to, not reset. Short inputs count inline through packed
+ * 16-bit-lane counters; wide ones take the vector compare/popcount
+ * path.
  */
 inline void
 histogram4(const uint8_t *vals, size_t n, uint32_t counts[4])
@@ -90,51 +86,6 @@ histogram4(const uint8_t *vals, size_t n, uint32_t counts[4])
     counts[1] += uint32_t((packed >> 16) & 0xffff);
     counts[2] += uint32_t((packed >> 32) & 0xffff);
     counts[3] += uint32_t((packed >> 48) & 0xffff);
-}
-
-/** Length of the longest common prefix of a[0..n) and b[0..n). */
-inline size_t
-matchRunForward(const uint8_t *a, const uint8_t *b, size_t n)
-{
-    // Most consensus runs end within a word; peel the first 8 bytes
-    // inline before dispatching to the vector sweep.
-    if (n >= 8) {
-        uint64_t x, y;
-        __builtin_memcpy(&x, a, 8);
-        __builtin_memcpy(&y, b, 8);
-        if (x != y)
-            return size_t(__builtin_ctzll(x ^ y)) / 8;
-        if (n == 8)
-            return 8;
-        return 8 + detail::matchRunForwardWide(a + 8, b + 8, n - 8);
-    }
-    size_t i = 0;
-    while (i < n && a[i] == b[i])
-        ++i;
-    return i;
-}
-
-/**
- * Length of the longest common suffix of a[0..n) and b[0..n): the
- * largest k with a[n-1-t] == b[n-1-t] for all t < k.
- */
-inline size_t
-matchRunBackward(const uint8_t *a, const uint8_t *b, size_t n)
-{
-    if (n >= 8) {
-        uint64_t x, y;
-        __builtin_memcpy(&x, a + n - 8, 8);
-        __builtin_memcpy(&y, b + n - 8, 8);
-        if (x != y)
-            return size_t(__builtin_clzll(x ^ y)) / 8;
-        if (n == 8)
-            return 8;
-        return 8 + detail::matchRunBackwardWide(a, b, n - 8);
-    }
-    size_t r = n;
-    while (r > 0 && a[r - 1] == b[r - 1])
-        --r;
-    return n - r;
 }
 
 /**

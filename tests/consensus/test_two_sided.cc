@@ -80,7 +80,7 @@ TEST(TwoSided, BeatsOneWayOnIndelChannel)
 
 TEST(TwoSided, ViewScratchVariantMatchesVectorApi)
 {
-    // The allocation-free Into variant (views + reversing lens) must
+    // The allocation-free Into variant (views + reversed lanes) must
     // be bit-identical to the historical vector interface, including
     // reuse of one scratch across many clusters.
     Rng rng(6);

@@ -62,30 +62,6 @@ TEST_P(SimdKernels, Histogram4MatchesReference)
     }
 }
 
-TEST_P(SimdKernels, MatchRunsMatchReference)
-{
-    Rng rng(2);
-    for (int iter = 0; iter < fuzzIters(300); ++iter) {
-        size_t n = rng.nextBelow(150);
-        std::vector<uint8_t> a(n), b(n);
-        for (size_t i = 0; i < n; ++i)
-            a[i] = b[i] = uint8_t(rng.nextBelow(4));
-        // Sprinkle a few mismatches (sometimes none).
-        for (size_t e = 0; e < rng.nextBelow(4) && n > 0; ++e)
-            b[rng.nextBelow(n)] ^= 1;
-
-        size_t fwd = 0;
-        while (fwd < n && a[fwd] == b[fwd])
-            ++fwd;
-        size_t bwd = 0;
-        while (bwd < n && a[n - 1 - bwd] == b[n - 1 - bwd])
-            ++bwd;
-
-        EXPECT_EQ(simd::matchRunForward(a.data(), b.data(), n), fwd);
-        EXPECT_EQ(simd::matchRunBackward(a.data(), b.data(), n), bwd);
-    }
-}
-
 TEST_P(SimdKernels, DiffCountPackedMatchesPerBaseCount)
 {
     Rng rng(3);
